@@ -4,7 +4,7 @@
 //! first-class axis: "attribute-based access control (ABAC) or role-based
 //! access control (RBAC), … customized to the specific requirements of the
 //! domain". This crate implements both, plus the access-controlled ledger
-//! *views* of LedgerView [66] (revocable and irrevocable views over a
+//! *views* of LedgerView \[66\] (revocable and irrevocable views over a
 //! Fabric-style ledger).
 //!
 //! * [`rbac`] — roles → permissions, users → roles, with role hierarchies;

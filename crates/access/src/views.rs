@@ -1,6 +1,6 @@
 //! LedgerView-style access-controlled views over a chain.
 //!
-//! LedgerView [66] adds views to Hyperledger Fabric: a view is a filtered
+//! LedgerView \[66\] adds views to Hyperledger Fabric: a view is a filtered
 //! projection of ledger transactions granted to specific parties, either
 //! *revocable* (the owner can withdraw access) or *irrevocable* (access,
 //! once granted, is a permanent commitment — e.g. a regulator's audit view).

@@ -1,16 +1,16 @@
-//! Ledger at scale — tiered storage vs everything-in-memory.
+//! Ledger at scale — the durable chain vs everything-in-memory.
 //!
 //! The storage-overhead experiments (E3) presuppose provenance history far
-//! larger than RAM. This harness appends ~100k blocks through both store
-//! backends and reports:
+//! larger than RAM. This harness appends ~100k blocks through both ways of
+//! opening a chain — in memory (`Chain::new`) and over all three durable
+//! tiers (`Chain::replay_with_tiers`: tiered block store, tx index,
+//! metadata tier) — and reports:
 //!
-//! * one-shot: append throughput (blocks/s), resident decoded blocks, and
-//!   on-disk segment layout for `MemStore` vs `TieredStore` vs
-//!   `TieredStore + TxIndex` (the spilled-index configuration, where the
-//!   mutable in-memory index covers only the non-finalized suffix);
+//! * one-shot: append throughput (blocks/s), resident decoded blocks and
+//!   resident chain metadata for both;
 //! * timed: canonical tx-lookup latency — hot (repeated id, cache hit),
 //!   uniform (sweep over all history, mostly cold-tier reads), and the
-//!   spilled-index point/secondary query path (warm page cache vs sweep);
+//!   durable index's point/secondary query path (warm page cache vs sweep);
 //! * one-shot: segment compaction on a fork-heavy history — reclaimed
 //!   bytes and full canonical-scan wall clock before/after `compact`;
 //! * one-shot: cold-start sweep — snapshot fast-start wall clock at
@@ -22,7 +22,7 @@ use blockprov_ledger::chain::{Chain, ChainConfig};
 use blockprov_ledger::index::{TxIndex, TxIndexConfig};
 use blockprov_ledger::meta::{MetaConfig, MetaStore};
 use blockprov_ledger::segment::{SegmentConfig, TieredConfig, TieredStore};
-use blockprov_ledger::store::{BlockStore, MemStore};
+use blockprov_ledger::store::BlockStore;
 use blockprov_ledger::tx::{AccountId, Transaction, TxId};
 use criterion::{criterion_group, criterion_main, record_metric, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -49,20 +49,6 @@ fn tiered_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-fn tiered_chain(dir: &std::path::Path) -> Chain {
-    let store = TieredStore::open(
-        dir,
-        TieredConfig {
-            segment: SegmentConfig {
-                segment_bytes: 8 * 1024 * 1024,
-            },
-            hot_capacity: HOT_CAPACITY,
-        },
-    )
-    .expect("open tiered store");
-    Chain::with_store(Box::new(store), chain_config())
-}
-
 /// Append `blocks` empty-ish blocks (one indexed tx every `TX_EVERY`),
 /// returning the sample tx ids and the elapsed append time.
 fn grow(chain: &mut Chain, blocks: u64) -> (Vec<TxId>, std::time::Duration) {
@@ -81,32 +67,6 @@ fn grow(chain: &mut Chain, blocks: u64) -> (Vec<TxId>, std::time::Duration) {
         chain.append(block).expect("append");
     }
     (ids, start.elapsed())
-}
-
-fn spilled_chain(dir: &std::path::Path) -> Chain {
-    let store = TieredStore::open(
-        dir,
-        TieredConfig {
-            segment: SegmentConfig {
-                segment_bytes: 8 * 1024 * 1024,
-            },
-            hot_capacity: HOT_CAPACITY,
-        },
-    )
-    .expect("open tiered store");
-    // Small pages and a page cache well below the page count, so the cold
-    // sweep below actually exercises page reads rather than pure cache hits.
-    let index = TxIndex::open(
-        dir.join("txindex"),
-        TxIndexConfig {
-            partitions: 16,
-            page_entries: 64,
-            cached_pages: 8,
-            ..TxIndexConfig::default()
-        },
-    )
-    .expect("open tx index");
-    Chain::with_store_and_index(Box::new(store), index, chain_config())
 }
 
 fn meta_tier_store(dir: &std::path::Path) -> Box<dyn BlockStore> {
@@ -132,15 +92,21 @@ fn meta_tier_meta(dir: &std::path::Path) -> MetaStore {
     MetaStore::open(dir.join("meta"), MetaConfig::default()).expect("open meta store")
 }
 
-/// The fourth backend: all three durable tiers (blocks, tx index, chain
-/// metadata) — the bounded-resident-memory configuration.
+/// The durable chain: all three tiers (blocks, tx index, chain metadata)
+/// under `dir`, fresh or resumed — the bounded-resident-memory
+/// configuration.
 fn meta_chain(dir: &std::path::Path) -> Chain {
-    Chain::with_tiers(
+    meta_chain_with(dir, chain_config())
+}
+
+fn meta_chain_with(dir: &std::path::Path, config: ChainConfig) -> Chain {
+    Chain::replay_with_tiers(
         meta_tier_store(dir),
         Some(meta_tier_index(dir)),
         meta_tier_meta(dir),
-        chain_config(),
+        config,
     )
+    .expect("open durable tiers")
 }
 
 /// Resident per-block metadata entries/bytes for one backend, one line.
@@ -166,24 +132,25 @@ fn report_resident_metadata(label: &str, chain: &Chain) {
 }
 
 /// One-shot cold-start measurement over the meta-tier directory:
-/// replay-from-snapshot (fast start) vs full replay of the same history.
+/// replay-from-snapshot (fast start) vs full replay of the same history
+/// (the same blocks under empty index and metadata tiers).
 fn report_cold_start(dir: &std::path::Path) {
     let t = Instant::now();
-    let fast = Chain::replay_with_tiers(
-        meta_tier_store(dir),
-        Some(meta_tier_index(dir)),
-        meta_tier_meta(dir),
-        chain_config(),
-    )
-    .expect("fast start");
+    let fast = meta_chain(dir);
     let fast_t = t.elapsed();
     let fast_appended = fast.appended_blocks();
     let tip = fast.tip();
     drop(fast);
 
+    let rebuilt = dir.join("full-replay");
     let t = Instant::now();
-    let full = Chain::replay_with_index(meta_tier_store(dir), meta_tier_index(dir), chain_config())
-        .expect("full replay");
+    let full = Chain::replay_with_tiers(
+        meta_tier_store(dir),
+        Some(meta_tier_index(&rebuilt)),
+        meta_tier_meta(&rebuilt),
+        chain_config(),
+    )
+    .expect("full replay");
     let full_t = t.elapsed();
     assert_eq!(full.tip(), tip, "both cold starts must agree on the tip");
     println!(
@@ -197,19 +164,12 @@ fn report_cold_start(dir: &std::path::Path) {
     );
 }
 
-/// One-shot 100k-block append measurement for all four backends (a
-/// measurement, not a timing loop — printed once, `storage_dedup` style).
-#[allow(clippy::type_complexity)]
-fn report_append_throughput() -> (
-    Chain,
-    Vec<TxId>,
-    Chain,
-    Vec<TxId>,
-    Chain,
-    Vec<TxId>,
-    Vec<std::path::PathBuf>,
-) {
-    let mut mem = Chain::with_store(Box::new(MemStore::new()), chain_config());
+/// One-shot 100k-block append measurement for both ways of opening a
+/// chain (a measurement, not a timing loop — printed once,
+/// `storage_dedup` style). Returns each chain with its sample tx ids; the
+/// durable one is reopened from its snapshot after the cold-start report.
+fn report_append_throughput() -> (Chain, Vec<TxId>, Chain, Vec<TxId>, std::path::PathBuf) {
+    let mut mem = Chain::new(chain_config());
     let (mem_ids, mem_t) = grow(&mut mem, SCALE_BLOCKS);
     record_metric(
         "append/MemStore",
@@ -224,85 +184,48 @@ fn report_append_throughput() -> (
         mem.resident_blocks(),
     );
 
-    let dir = tiered_dir("grow");
-    let mut tiered = tiered_chain(&dir);
-    let (tiered_ids, tiered_t) = grow(&mut tiered, SCALE_BLOCKS);
-    record_metric(
-        "append/TieredStore",
-        SCALE_BLOCKS as f64 / tiered_t.as_secs_f64(),
-        "blk/s",
-    );
-    println!(
-        "ledger_scale append [TieredStore]: {SCALE_BLOCKS} blocks in {:.2?} \
-         ({:.0} blocks/s), resident blocks {} (hot cap {HOT_CAPACITY}), \
-         {} bytes cold, finalized height {}",
-        tiered_t,
-        SCALE_BLOCKS as f64 / tiered_t.as_secs_f64(),
-        tiered.resident_blocks(),
-        tiered.stored_bytes(),
-        tiered.finalized_height(),
-    );
-    assert!(
-        tiered.resident_blocks() <= HOT_CAPACITY,
-        "tiered chain must stay within its hot-set bound"
-    );
-
-    let sdir = tiered_dir("spilled");
-    let mut spilled = spilled_chain(&sdir);
-    let (spilled_ids, spilled_t) = grow(&mut spilled, SCALE_BLOCKS);
-    // Cut the staged tails into durable pages so the lookup benches below
-    // measure the page path, not the in-memory staging buffer.
-    spilled.sync_index().expect("sync index");
-    let ix = spilled.tx_index().expect("index attached");
-    record_metric(
-        "append/Tiered+TxIndex",
-        SCALE_BLOCKS as f64 / spilled_t.as_secs_f64(),
-        "blk/s",
-    );
-    println!(
-        "ledger_scale append [Tiered+TxIndex]: {SCALE_BLOCKS} blocks in {:.2?} \
-         ({:.0} blocks/s), resident index entries {} (history {}), \
-         {} spilled entries across {} pages / {} partitions, {} index bytes",
-        spilled_t,
-        SCALE_BLOCKS as f64 / spilled_t.as_secs_f64(),
-        spilled.resident_index_entries(),
-        spilled_ids.len(),
-        ix.entries(),
-        ix.page_count(),
-        ix.partition_count(),
-        ix.stored_bytes(),
-    );
-    // Fourth backend: + metadata tier (height map, nonce floor, snapshot
-    // per finality advance). Reports the bounded-residency numbers and the
-    // cold-start comparison, then drops — the lookup loops below already
-    // cover the shared two-tier query paths.
     let mdir = tiered_dir("meta");
     let mut metad = meta_chain(&mdir);
     let (meta_ids, meta_t) = grow(&mut metad, SCALE_BLOCKS);
-    let _ = meta_ids;
     record_metric(
         "append/Tiered+TxIndex+Meta",
         SCALE_BLOCKS as f64 / meta_t.as_secs_f64(),
         "blk/s",
     );
+    let ix = metad.tx_index().expect("durable chain");
+    let meta = metad.meta_tier().expect("durable chain");
     println!(
         "ledger_scale append [Tiered+TxIndex+Meta]: {SCALE_BLOCKS} blocks in {:.2?} \
-         ({:.0} blocks/s), height-map {} pages / {} bytes, snapshot every {} advances",
+         ({:.0} blocks/s), resident blocks {} (hot cap {HOT_CAPACITY}), {} bytes cold, \
+         resident index entries {} (history {}), {} spilled entries across {} pages / \
+         {} partitions, height-map {} pages / {} bytes, snapshot every {} advances",
         meta_t,
         SCALE_BLOCKS as f64 / meta_t.as_secs_f64(),
-        metad.meta_tier().expect("meta tier").height_map().page_count(),
-        metad.meta_tier().expect("meta tier").height_map().stored_bytes(),
-        metad.meta_tier().expect("meta tier").config().snapshot_interval,
+        metad.resident_blocks(),
+        metad.stored_bytes(),
+        metad.resident_index_entries(),
+        meta_ids.len(),
+        ix.entries(),
+        ix.page_count(),
+        ix.partition_count(),
+        meta.height_map().page_count(),
+        meta.height_map().stored_bytes(),
+        meta.config().snapshot_interval,
+    );
+    assert!(
+        metad.resident_blocks() <= HOT_CAPACITY,
+        "durable chain must stay within its hot-set bound"
     );
     report_resident_metadata("MemStore", &mem);
-    report_resident_metadata("TieredStore", &tiered);
-    report_resident_metadata("Tiered+TxIndex", &spilled);
     report_resident_metadata("Tiered+TxIndex+Meta", &metad);
     metad.sync_meta().expect("sync meta");
     drop(metad);
     report_cold_start(&mdir);
 
-    (mem, mem_ids, tiered, tiered_ids, spilled, spilled_ids, vec![dir, sdir, mdir])
+    // The lookup benches below run on the resumed chain: its fast start
+    // synced every staged tail, so they measure the durable page path.
+    let metad = meta_chain(&mdir);
+    (mem, mem_ids, metad, meta_ids, mdir)
 }
 
 /// One-shot cold-start sweep: snapshot fast-start wall clock at several
@@ -397,12 +320,7 @@ fn report_ingest_scaling() {
             ingest_threads: threads,
             ..chain_config()
         };
-        let mut chain = Chain::with_tiers(
-            meta_tier_store(&dir),
-            Some(meta_tier_index(&dir)),
-            meta_tier_meta(&dir),
-            config,
-        );
+        let mut chain = meta_chain_with(&dir, config);
         let t = Instant::now();
         for batch in stream.chunks(BATCH) {
             chain.append_batch(batch.to_vec()).expect("batch append");
@@ -479,12 +397,7 @@ fn report_batch_commit() {
             ingest_threads: 1,
             ..chain_config()
         };
-        let mut chain = Chain::with_tiers(
-            meta_tier_store(&dir),
-            Some(meta_tier_index(&dir)),
-            meta_tier_meta(&dir),
-            config,
-        );
+        let mut chain = meta_chain_with(&dir, config);
         let t = Instant::now();
         for batch in stream.chunks(size) {
             chain.append_batch(batch.to_vec()).expect("batch append");
@@ -513,13 +426,13 @@ fn report_batch_commit() {
     );
 }
 
-/// One-shot compaction measurement: a fork-heavy history over tiny
+/// One-shot compaction measurement: a fork-heavy durable history over tiny
 /// segments, scan wall clock before and after reclaiming the stale forks.
 fn report_compaction() {
     const FORKY_BLOCKS: u64 = 20_000;
     let dir = tiered_dir("compact");
     let store = TieredStore::open(
-        &dir,
+        dir.join("blocks"),
         TieredConfig {
             segment: SegmentConfig {
                 segment_bytes: 256 * 1024,
@@ -528,7 +441,13 @@ fn report_compaction() {
         },
     )
     .expect("open tiered store");
-    let mut chain = Chain::with_store(Box::new(store), chain_config());
+    let mut chain = Chain::replay_with_tiers(
+        Box::new(store),
+        Some(meta_tier_index(&dir)),
+        meta_tier_meta(&dir),
+        chain_config(),
+    )
+    .expect("open durable tiers");
     let sealer = AccountId::from_name("sealer");
     for i in 0..FORKY_BLOCKS {
         let parent = chain.tip();
@@ -592,33 +511,31 @@ fn report_compaction() {
         scan_before,
         scan_after,
     );
+    drop(chain);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 fn bench_ledger_scale(c: &mut Criterion) {
-    let (mem, mem_ids, tiered, tiered_ids, spilled, spilled_ids, dirs) =
-        report_append_throughput();
+    let (mem, mem_ids, durable, durable_ids, dir) = report_append_throughput();
 
     let mut group = c.benchmark_group("tx_lookup_100k_chain");
     group.sample_size(20);
-    // Hot lookup: the same recent transaction over and over — the tiered
-    // store serves this from its LRU hot set.
+    // Hot lookup: the same recent transaction over and over — the durable
+    // chain serves this from its LRU hot set.
     for (label, chain, ids) in [
         ("mem", &mem, &mem_ids),
-        ("tiered", &tiered, &tiered_ids),
-        ("spilled", &spilled, &spilled_ids),
+        ("all-tiers", &durable, &durable_ids),
     ] {
         let hot_id = *ids.last().expect("sample txs");
         group.bench_with_input(BenchmarkId::new("hot", label), &hot_id, |b, id| {
             b.iter(|| chain.get_tx(black_box(id)).expect("hot tx"))
         });
     }
-    // Uniform lookup: sweep across the whole history — for the tiered
-    // store most probes miss the hot set and hit the cold segment tier.
+    // Uniform lookup: sweep across the whole history — on the durable
+    // chain most probes miss the hot set and hit the cold segment tier.
     for (label, chain, ids) in [
         ("mem", &mem, &mem_ids),
-        ("tiered", &tiered, &tiered_ids),
-        ("spilled", &spilled, &spilled_ids),
+        ("all-tiers", &durable, &durable_ids),
     ] {
         let mut cursor = 0usize;
         group.bench_with_input(BenchmarkId::new("uniform", label), &(), |b, _| {
@@ -631,21 +548,21 @@ fn bench_ledger_scale(c: &mut Criterion) {
     }
     group.finish();
 
-    // The spilled-index *point lookup* path in isolation (no block fetch):
-    // hot = one long-finalized id, its page pinned in the LRU page cache;
-    // cold = sweep over all finalized ids, page cache mostly missing.
+    // The durable index's *point lookup* path in isolation (no block
+    // fetch): hot = one long-finalized id, its page pinned in the LRU page
+    // cache; cold = sweep over all finalized ids.
     let mut group = c.benchmark_group("spilled_index_lookup");
     group.sample_size(20);
-    let oldest = spilled_ids.first().expect("sample txs");
+    let oldest = durable_ids.first().expect("sample txs");
     group.bench_with_input(BenchmarkId::new("hot", "page-cached"), oldest, |b, id| {
-        b.iter(|| spilled.tx_by_id(black_box(id)).expect("finalized tx"))
+        b.iter(|| durable.tx_by_id(black_box(id)).expect("finalized tx"))
     });
     let mut cursor = 0usize;
     group.bench_with_input(BenchmarkId::new("cold", "page-sweep"), &(), |b, _| {
         b.iter(|| {
-            let id = &spilled_ids[cursor % spilled_ids.len()];
+            let id = &durable_ids[cursor % durable_ids.len()];
             cursor = cursor.wrapping_add(1);
-            spilled.tx_by_id(black_box(id)).expect("finalized tx")
+            durable.tx_by_id(black_box(id)).expect("finalized tx")
         })
     });
     // Secondary full-history query across both tiers.
@@ -653,22 +570,19 @@ fn bench_ledger_scale(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("by_author", "full-history"),
         &auditor,
-        |b, author| b.iter(|| spilled.txs_by_author(black_box(author)).len()),
+        |b, author| b.iter(|| durable.txs_by_author(black_box(author)).len()),
     );
     group.finish();
-    let (hits, misses) = spilled.tx_index().expect("index").cache_stats();
-    println!("ledger_scale spilled-index page cache: {hits} hits / {misses} misses");
+    let (hits, misses) = durable.tx_index().expect("durable chain").cache_stats();
+    println!("ledger_scale durable-index page cache: {hits} hits / {misses} misses");
 
     report_cold_start_sweep();
     report_ingest_scaling();
     report_batch_commit();
     report_compaction();
 
-    drop(tiered);
-    drop(spilled);
-    for dir in dirs {
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+    drop(durable);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 criterion_group!(benches, bench_ledger_scale);

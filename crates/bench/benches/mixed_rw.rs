@@ -77,7 +77,7 @@ fn all_tiers_chain(dir: &std::path::Path) -> Chain {
         finality_depth: Some(FINALITY_DEPTH),
         ..ChainConfig::default()
     };
-    Chain::with_tiers(Box::new(store), Some(index), meta, config)
+    Chain::replay_with_tiers(Box::new(store), Some(index), meta, config).expect("open tiers")
 }
 
 /// Deterministic xorshift so every phase replays the same query mix.

@@ -887,7 +887,7 @@ fn e14_storage() {
     );
 }
 
-/// E15 — EO DAG traceability vs full-ledger scan (Zhang [87]).
+/// E15 — EO DAG traceability vs full-ledger scan (Zhang \[87\]).
 fn e15_eo_traceability() {
     use blockprov_sciwork::eo::EoNetwork;
     let mut rows = Vec::new();
@@ -952,7 +952,7 @@ fn e16_interop_conformance() {
     );
 }
 
-/// E17 — GDPR accountability verdicts (Neisse [58]).
+/// E17 — GDPR accountability verdicts (Neisse \[58\]).
 fn e17_accountability() {
     use blockprov_provenance::accountability::AccountabilityLedger;
     let mut l = AccountabilityLedger::new();
@@ -997,7 +997,7 @@ fn e17_accountability() {
     );
 }
 
-/// E18 — steganographic evidence containers (AlKhanafseh [13]).
+/// E18 — steganographic evidence containers (AlKhanafseh \[13\]).
 fn e18_stego() {
     use blockprov_forensics::stego::{StegoVault, StegoError};
     let vault = StegoVault::new(b"case-key");
@@ -1032,7 +1032,7 @@ fn e18_stego() {
     );
 }
 
-/// E19 — InfiniteChain two-layer auditing (Hwang [37]).
+/// E19 — InfiniteChain two-layer auditing (Hwang \[37\]).
 fn e19_twolayer() {
     use blockprov_crosschain::twolayer::{SideRecord, TwoLayerError, TwoLayerNetwork};
     let mut rows = Vec::new();
@@ -1073,7 +1073,7 @@ fn e19_twolayer() {
     );
 }
 
-/// E20 — pandemic platform: anonymous diagnostics (Abouyoussef [3]).
+/// E20 — pandemic platform: anonymous diagnostics (Abouyoussef \[3\]).
 fn e20_pandemic() {
     use blockprov_health::pandemic::{PandemicPlatform, PandemicError, SymptomVector};
     let (mut p, mut patients) =

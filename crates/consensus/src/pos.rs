@@ -1,6 +1,6 @@
 //! Proof of Stake: stake-weighted leader election and slashing.
 //!
-//! BlockCloud [75] replaces PoW with PoS "to decrease computational
+//! BlockCloud \[75\] replaces PoW with PoS "to decrease computational
 //! requirements"; this module provides the two mechanisms such a design
 //! needs: deterministic stake-weighted leader election (every honest node
 //! computes the same leader for a height from shared randomness) and

@@ -1,9 +1,9 @@
 //! Deterministic smart-contract framework.
 //!
 //! The surveyed systems lean on smart contracts everywhere: SmartProvenance
-//! [63] authenticates provenance records through threshold voting contracts,
-//! PrivChain [52] automates proof verification and incentive payout, Singh
-//! et al. [69] encode healthcare stakeholder logic, and Cui et al. [23] run
+//! \[63\] authenticates provenance records through threshold voting contracts,
+//! PrivChain \[52\] automates proof verification and incentive payout, Singh
+//! et al. \[69\] encode healthcare stakeholder logic, and Cui et al. \[23\] run
 //! confirmation-based ownership transfer as Fabric chaincode. This crate is
 //! the substrate those reproductions run on:
 //!

@@ -1,6 +1,6 @@
 //! Unique-registration and confirmation-based ownership transfer contract.
 //!
-//! Reproduces the two supply-chain mechanisms from Cui et al. [23]:
+//! Reproduces the two supply-chain mechanisms from Cui et al. \[23\]:
 //!
 //! * **legitimate product registration** — a device id registers exactly
 //!   once, by an authorized registrar, defeating the "illegitimate product
@@ -8,7 +8,7 @@
 //! * **confirmation-based ownership transfer** — a transfer must be
 //!   *initiated* by the current owner and *confirmed* by the recipient
 //!   before ownership changes, preventing theft and mis-shipment (Islam et
-//!   al. [38] lack exactly this recipient confirmation).
+//!   al. \[38\] lack exactly this recipient confirmation).
 
 use crate::runtime::{gas, Contract, ContractCtx, ContractError};
 use blockprov_crypto::sha256::Hash256;

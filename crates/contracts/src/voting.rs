@@ -1,6 +1,6 @@
 //! SmartProvenance-style threshold voting contract.
 //!
-//! SmartProvenance [63] authenticates provenance records by submitting each
+//! SmartProvenance \[63\] authenticates provenance records by submitting each
 //! change to a vote among participants; a record becomes *approved* only
 //! when a configurable fraction of the electorate accepts it. This contract
 //! reproduces that mechanism: proposals keyed by record digest, one vote per

@@ -1,6 +1,6 @@
 //! ProvChain-style cloud-storage auditing (the RQ1 reproduction).
 //!
-//! ProvChain [47] hooks a cloud storage service (ownCloud in the paper) so
+//! ProvChain \[47\] hooks a cloud storage service (ownCloud in the paper) so
 //! every user file operation produces a provenance record that is hashed
 //! into blockchain transactions; a *block confirmation* later, users can
 //! request Merkle-proof validation of their operations from an auditor.

@@ -13,8 +13,7 @@ use blockprov_contracts::ContractRuntime;
 use blockprov_crypto::sha256::{sha256, Hash256};
 use blockprov_ledger::block::{Block, BlockHash};
 use blockprov_ledger::chain::{
-    AppendOutcome, BatchError, Chain, ChainConfig, ChainReader, ChainView, TxInclusionProof,
-    ValidationError,
+    AppendOutcome, BatchError, Chain, ChainConfig, ChainReader, TxInclusionProof, ValidationError,
 };
 use blockprov_ledger::mempool::{Mempool, MempoolError};
 use blockprov_ledger::tx::{AccountId, Transaction, TxId};
@@ -121,107 +120,6 @@ impl RecordProof {
     }
 }
 
-/// A cloneable, `Send + Sync` query handle over a [`ProvenanceLedger`]'s
-/// chain, obtained from [`ProvenanceLedger::reader`].
-///
-/// Backed by the chain's epoch-published snapshots and the durable tiers'
-/// published states: every method answers without blocking the writer, and
-/// multi-step queries that must agree with each other can pin one snapshot
-/// via [`LedgerReader::view`].
-#[derive(Debug, Clone)]
-pub struct LedgerReader {
-    chain: ChainReader,
-}
-
-impl LedgerReader {
-    /// The underlying chain read handle.
-    pub fn chain(&self) -> &ChainReader {
-        &self.chain
-    }
-
-    /// Pin the latest published snapshot for a prefix-consistent view.
-    pub fn view(&self) -> ChainView {
-        self.chain.view()
-    }
-
-    /// Current published tip hash.
-    pub fn tip(&self) -> BlockHash {
-        self.chain.tip()
-    }
-
-    /// Current published tip height.
-    pub fn height(&self) -> u64 {
-        self.chain.height()
-    }
-
-    /// Current published finality checkpoint height.
-    pub fn finalized_height(&self) -> u64 {
-        self.chain.finalized_height()
-    }
-
-    /// Canonical block hash at `height`.
-    pub fn hash_at(&self, height: u64) -> Option<BlockHash> {
-        self.chain.hash_at(height)
-    }
-
-    /// Fetch a stored block by hash.
-    pub fn block(&self, hash: &BlockHash) -> Option<std::sync::Arc<Block>> {
-        self.chain.block(hash)
-    }
-
-    /// Fetch the canonical block at `height`.
-    pub fn block_at(&self, height: u64) -> Option<std::sync::Arc<Block>> {
-        self.chain.block_at(height)
-    }
-
-    /// Locate a canonical transaction: `(containing block hash, position)`.
-    pub fn tx_by_id(&self, id: &TxId) -> Option<(BlockHash, u32)> {
-        self.chain.tx_by_id(id)
-    }
-
-    /// Fetch a canonical transaction by id.
-    pub fn get_tx(&self, id: &TxId) -> Option<Transaction> {
-        self.chain.get_tx(id)
-    }
-
-    /// All canonical transaction ids by author, oldest first.
-    pub fn txs_by_author(&self, author: &AccountId) -> Vec<TxId> {
-        self.chain.txs_by_author(author)
-    }
-
-    /// All canonical transaction ids with the given kind tag, oldest first.
-    pub fn txs_by_kind(&self, kind: u16) -> Vec<TxId> {
-        self.chain.txs_by_kind(kind)
-    }
-
-    /// All canonical provenance-carrying transaction ids, oldest first.
-    pub fn provenance_txs(&self) -> Vec<TxId> {
-        self.chain.txs_by_kind(txkind::PROVENANCE)
-    }
-
-    /// Whether `hash` lies on the canonical chain.
-    pub fn is_canonical(&self, hash: &BlockHash) -> bool {
-        self.chain.is_canonical(hash)
-    }
-
-    /// Produce a Merkle inclusion proof for a canonical transaction.
-    pub fn prove_tx(&self, id: &TxId) -> Option<TxInclusionProof> {
-        self.chain.prove_tx(id)
-    }
-
-    /// Produce a user-verifiable anchoring proof for a sealed record whose
-    /// carrying transaction id is known (e.g. from
-    /// [`ProvenanceLedger::prove_record`]'s mapping at seal time).
-    pub fn prove_record_tx(&self, record_id: RecordId, tx_id: TxId) -> Option<RecordProof> {
-        let inclusion = self.chain.prove_tx(&tx_id)?;
-        Some(RecordProof {
-            record_id,
-            tx_id,
-            inclusion,
-        })
-    }
-}
-
 /// The assembled provenance ledger.
 pub struct ProvenanceLedger {
     config: LedgerConfig,
@@ -263,57 +161,25 @@ impl ProvenanceLedger {
         }
     }
 
-    /// Open a fresh ledger under `config` (in-memory block store).
+    /// Open a fresh in-memory ledger under `config`.
     pub fn open(config: LedgerConfig) -> Self {
         let chain = Chain::new(Self::chain_config(&config));
         Self::assemble(config, chain)
     }
 
-    /// Open a ledger over a custom block store — typically a
-    /// [`blockprov_ledger::segment::TieredStore`] for bounded-memory
-    /// operation — replaying any history the store already holds.
+    /// Open a durable ledger over a block store (typically a
+    /// [`blockprov_ledger::segment::TieredStore`]), a transaction index and
+    /// the metadata tier — fresh on empty directories, resumed otherwise
+    /// (see [`Chain::replay_with_tiers`]).
     ///
-    /// The chain (fork choice, canonical indexes, finality checkpoint) and
-    /// the provenance layer (graph, query indexes, record→tx anchoring,
-    /// author nonces, logical clock) are all reconstructed from the stored
-    /// canonical blocks. Off-chain payloads, agent registrations and
-    /// unsealed mempool contents are process state, not chain state, and do
-    /// not survive a restart.
-    pub fn open_with_store(
-        config: LedgerConfig,
-        store: Box<dyn blockprov_ledger::store::BlockStore>,
-    ) -> std::io::Result<Self> {
-        let chain = Chain::replay(store, Self::chain_config(&config))?;
-        Self::finish_open(config, chain)
-    }
-
-    /// [`ProvenanceLedger::open_with_store`] with a durable transaction
-    /// index (see [`blockprov_ledger::index::TxIndex`]).
-    ///
-    /// The chain's canonical tx indexes rehydrate from the index pages
-    /// instead of being rebuilt in RAM — the mutable in-memory index covers
-    /// only the non-finalized suffix — and the provenance layer is
-    /// reconstructed by walking `txs_by_kind(PROVENANCE)` rather than
-    /// re-reading every canonical block.
-    pub fn open_with_store_and_index(
-        config: LedgerConfig,
-        store: Box<dyn blockprov_ledger::store::BlockStore>,
-        index: blockprov_ledger::index::TxIndex,
-    ) -> std::io::Result<Self> {
-        let chain = Chain::replay_with_index(store, index, Self::chain_config(&config))?;
-        Self::finish_open(config, chain)
-    }
-
-    /// [`ProvenanceLedger::open_with_store_and_index`] plus the durable
-    /// metadata tier (see [`blockprov_ledger::meta::MetaStore`]).
-    ///
-    /// The chain consumes the checkpoint snapshot and height map: when a
-    /// snapshot is present, cold start re-validates only the non-finalized
-    /// suffix (blocks above the checkpoint) instead of re-absorbing all of
-    /// history, resident chain metadata stays O(finality window + live
-    /// forks), and a snapshot that contradicts the block store fails the
-    /// open loudly. Provenance-graph rehydration still walks the (durable)
-    /// provenance-kind index entries, exactly as before.
+    /// The chain fast-starts from the metadata tier's checkpoint snapshot
+    /// when one exists: cold start re-validates only the non-finalized
+    /// suffix, and a snapshot that contradicts the block store fails the
+    /// open loudly. The provenance layer (graph, query indexes, record→tx
+    /// anchoring, author nonces, logical clock) is rebuilt by walking the
+    /// provenance-kind index entries. Off-chain payloads, agent
+    /// registrations and unsealed mempool contents are process state, not
+    /// chain state, and do not survive a restart.
     pub fn open_with_tiers(
         config: LedgerConfig,
         store: Box<dyn blockprov_ledger::store::BlockStore>,
@@ -322,10 +188,6 @@ impl ProvenanceLedger {
     ) -> std::io::Result<Self> {
         let chain =
             Chain::replay_with_tiers(store, Some(index), meta, Self::chain_config(&config))?;
-        Self::finish_open(config, chain)
-    }
-
-    fn finish_open(config: LedgerConfig, chain: Chain) -> std::io::Result<Self> {
         let mut ledger = Self::assemble(config, chain);
         ledger.rehydrate_provenance().map_err(|e| {
             std::io::Error::new(std::io::ErrorKind::InvalidData, format!("replay: {e}"))
@@ -451,10 +313,8 @@ impl ProvenanceLedger {
     /// most one commit. Provenance-graph state (records, DAG edges) is not
     /// covered — this is the chain-level view: id/author/kind lookups,
     /// height/hash resolution, block fetch and Merkle inclusion proofs.
-    pub fn reader(&mut self) -> LedgerReader {
-        LedgerReader {
-            chain: self.chain.reader(),
-        }
+    pub fn reader(&mut self) -> ChainReader {
+        self.chain.reader()
     }
 
     /// Force a clean-shutdown sync: flush staged commits across every
@@ -921,20 +781,41 @@ mod tests {
         assert_eq!(l.cache_stats().0, 1);
     }
 
-    fn tiered_store(dir: &std::path::Path) -> Box<dyn blockprov_ledger::store::BlockStore> {
+    /// Open a durable ledger over the three tiers under `dir`.
+    fn durable(config: &LedgerConfig, dir: &std::path::Path) -> ProvenanceLedger {
+        use blockprov_ledger::index::{TxIndex, TxIndexConfig};
+        use blockprov_ledger::meta::{MetaConfig, MetaStore};
         use blockprov_ledger::segment::{SegmentConfig, TieredConfig, TieredStore};
-        Box::new(
-            TieredStore::open(
-                dir,
-                TieredConfig {
-                    segment: SegmentConfig {
-                        segment_bytes: 64 * 1024,
-                    },
-                    hot_capacity: 16,
+        let store = TieredStore::open(
+            dir.join("blocks"),
+            TieredConfig {
+                segment: SegmentConfig {
+                    segment_bytes: 64 * 1024,
                 },
-            )
-            .unwrap(),
+                hot_capacity: 16,
+            },
         )
+        .unwrap();
+        let index = TxIndex::open(
+            dir.join("txindex"),
+            TxIndexConfig {
+                partitions: 4,
+                page_entries: 8,
+                cached_pages: 8,
+                ..TxIndexConfig::default()
+            },
+        )
+        .unwrap();
+        let meta = MetaStore::open(
+            dir.join("meta"),
+            MetaConfig {
+                page_heights: 8,
+                cached_pages: 4,
+                ..MetaConfig::default()
+            },
+        )
+        .unwrap();
+        ProvenanceLedger::open_with_tiers(config.clone(), Box::new(store), index, meta).unwrap()
     }
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -947,13 +828,12 @@ mod tests {
     }
 
     #[test]
-    fn ledger_over_tiered_store_serves_queries_and_replays_after_restart() {
+    fn durable_ledger_replays_blocks_after_losing_its_derived_tiers() {
         let dir = temp_dir("tiered");
         let config = LedgerConfig::private_default().with_finality(4);
         let (rid, tip, height);
         {
-            let mut l =
-                ProvenanceLedger::open_with_store(config.clone(), tiered_store(&dir)).unwrap();
+            let mut l = durable(&config, &dir);
             let alice = l.register_agent("alice").unwrap();
             l.register_entity("report.pdf", b"v1").unwrap();
             rid = l
@@ -979,8 +859,12 @@ mod tests {
             height = l.chain().height();
         }
 
-        // "Restart": replay the same segment directory.
-        let mut l = ProvenanceLedger::open_with_store(config, tiered_store(&dir)).unwrap();
+        // Restart with only the block segments: without a snapshot the
+        // open scans and replays every stored block.
+        std::fs::remove_dir_all(dir.join("txindex")).unwrap();
+        std::fs::remove_dir_all(dir.join("meta")).unwrap();
+        let mut l = durable(&config, &dir);
+        assert!(l.chain().appended_blocks() >= height - 1, "full replay");
         assert_eq!(l.chain().tip(), tip);
         assert_eq!(l.chain().height(), height);
         l.verify_chain().unwrap();
@@ -993,31 +877,17 @@ mod tests {
         assert!(proof.verify(&record));
         // The derivation edge survives replay too.
         assert_eq!(l.graph().ancestors(&rid).unwrap().len(), 1);
+        drop(l);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn ledger_over_indexed_store_bounds_resident_index_and_replays() {
-        use blockprov_ledger::index::{TxIndex, TxIndexConfig};
+    fn durable_ledger_bounds_resident_index_and_reopens() {
         let dir = temp_dir("indexed");
         let config = LedgerConfig::private_default().with_finality(4);
-        let index_config = TxIndexConfig {
-            partitions: 4,
-            page_entries: 8,
-            cached_pages: 8,
-            ..TxIndexConfig::default()
-        };
-        let open = |config: &LedgerConfig| {
-            ProvenanceLedger::open_with_store_and_index(
-                config.clone(),
-                tiered_store(&dir),
-                TxIndex::open(dir.join("txindex"), index_config).unwrap(),
-            )
-            .unwrap()
-        };
         let (rid, tip, height);
         {
-            let mut l = open(&config);
+            let mut l = durable(&config, &dir);
             let alice = l.register_agent("alice").unwrap();
             l.register_entity("report.pdf", b"v1").unwrap();
             rid = l
@@ -1046,7 +916,7 @@ mod tests {
 
         // Restart: chain queries rehydrate from index pages, and the
         // provenance layer is rebuilt via txs_by_kind.
-        let mut l = open(&config);
+        let mut l = durable(&config, &dir);
         assert_eq!(l.chain().tip(), tip);
         assert_eq!(l.chain().height(), height);
         l.verify_chain().unwrap();
@@ -1060,38 +930,17 @@ mod tests {
             .unwrap();
         l.seal_block().unwrap();
         l.verify_chain().unwrap();
+        drop(l);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn ledger_over_all_three_tiers_fast_starts_from_snapshot() {
-        use blockprov_ledger::index::{TxIndex, TxIndexConfig};
-        use blockprov_ledger::meta::{MetaConfig, MetaStore};
         let dir = temp_dir("tiers");
         let config = LedgerConfig::private_default().with_finality(4);
-        let index_config = TxIndexConfig {
-            partitions: 4,
-            page_entries: 8,
-            cached_pages: 8,
-            ..TxIndexConfig::default()
-        };
-        let meta_config = MetaConfig {
-            page_heights: 8,
-            cached_pages: 4,
-            ..MetaConfig::default()
-        };
-        let open = |config: &LedgerConfig| {
-            ProvenanceLedger::open_with_tiers(
-                config.clone(),
-                tiered_store(&dir),
-                TxIndex::open(dir.join("txindex"), index_config).unwrap(),
-                MetaStore::open(dir.join("meta"), meta_config).unwrap(),
-            )
-            .unwrap()
-        };
         let (rid, tip, height);
         {
-            let mut l = open(&config);
+            let mut l = durable(&config, &dir);
             let alice = l.register_agent("alice").unwrap();
             l.register_entity("report.pdf", b"v1").unwrap();
             rid = l
@@ -1119,7 +968,7 @@ mod tests {
         // Restart: the chain fast-starts from the snapshot — only the
         // non-finalized suffix is re-validated — while provenance state
         // rehydrates from the durable index as before.
-        let mut l = open(&config);
+        let mut l = durable(&config, &dir);
         assert_eq!(l.chain().tip(), tip);
         assert_eq!(l.chain().height(), height);
         assert!(
@@ -1138,6 +987,7 @@ mod tests {
             .unwrap();
         l.seal_block().unwrap();
         l.verify_chain().unwrap();
+        drop(l);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1146,8 +996,7 @@ mod tests {
         let dir = temp_dir("nonces");
         let config = LedgerConfig::private_default();
         {
-            let mut l =
-                ProvenanceLedger::open_with_store(config.clone(), tiered_store(&dir)).unwrap();
+            let mut l = durable(&config, &dir);
             let a = l.register_agent("alice").unwrap();
             for i in 0..3 {
                 l.apply_operation(&a, &format!("f{i}"), Action::Create, b"x")
@@ -1155,7 +1004,7 @@ mod tests {
             }
             l.seal_block().unwrap();
         }
-        let mut l = ProvenanceLedger::open_with_store(config, tiered_store(&dir)).unwrap();
+        let mut l = durable(&config, &dir);
         // A fresh operation must continue the nonce sequence, not restart it
         // (a restarted sequence would collide in the mempool).
         let a = l.register_agent("alice").unwrap();
@@ -1163,6 +1012,7 @@ mod tests {
         l.seal_block().unwrap();
         l.verify_chain().unwrap();
         assert_eq!(l.chain().height(), 2);
+        drop(l);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1193,11 +1043,12 @@ mod tests {
             l.seal_block().unwrap();
         }
         poller.join().unwrap();
-        assert_eq!(reader.height(), l.chain().height());
-        assert_eq!(reader.tip(), l.chain().tip());
-        assert_eq!(reader.provenance_txs().len(), 13);
-        let some_id = reader.provenance_txs()[4];
-        let proof = reader.prove_tx(&some_id).expect("proof through reader");
+        let view = reader.view();
+        assert_eq!(view.height(), l.chain().height());
+        assert_eq!(view.tip(), l.chain().tip());
+        let provenance = view.txs_by_kind(txkind::PROVENANCE);
+        assert_eq!(provenance.len(), 13);
+        let proof = view.prove_tx(&provenance[4]).expect("proof through reader");
         assert!(proof.verify());
     }
 

@@ -14,7 +14,7 @@
 //! | Evaluation | every component exposes counters; see `blockprov-bench` |
 //!
 //! It also contains the RQ1 reproduction: [`cloud::CloudAuditor`], a
-//! ProvChain [47]-style cloud-storage auditing pipeline (file operations →
+//! ProvChain \[47\]-style cloud-storage auditing pipeline (file operations →
 //! provenance records → block anchoring → user-verifiable Merkle proofs,
 //! with hashed user identities for privacy).
 
@@ -27,7 +27,7 @@ pub mod offchain;
 pub use cloud::{CloudAuditor, CloudOpKind, CloudReport};
 pub use config::{BlockchainKind, LedgerConfig, StorageMode};
 pub use design::{table2, DomainProfile};
-pub use ledger::{CoreError, LedgerReader, ProvenanceLedger, RecordProof};
+pub use ledger::{CoreError, ProvenanceLedger, RecordProof};
 pub use offchain::OffChainStore;
 
 /// Transaction kind tags used by the framework.

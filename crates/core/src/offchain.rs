@@ -1,7 +1,7 @@
 //! Content-addressed off-chain payload store.
 //!
 //! Stands in for the OpenStack Swift / IPFS stores the surveyed systems use
-//! ([33], [56], HealthBlock [1]): payloads live off-chain, addressed by
+//! (\[33\], \[56\], HealthBlock \[1\]): payloads live off-chain, addressed by
 //! digest; the chain carries only the digest. Experiment E3 measures the
 //! on-chain byte savings this split produces.
 

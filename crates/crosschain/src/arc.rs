@@ -1,4 +1,4 @@
-//! ARC [88]: an asynchronous consensus + relay-chain cross-chain solution
+//! ARC \[88\]: an asynchronous consensus + relay-chain cross-chain solution
 //! for consortium blockchains.
 //!
 //! The survey notes ARC "focuses on security and provides a clear system

@@ -1,4 +1,4 @@
-//! Hash time-locked contracts and atomic cross-chain swaps (Herlihy [35]).
+//! Hash time-locked contracts and atomic cross-chain swaps (Herlihy \[35\]).
 //!
 //! An HTLC locks value under `(hashlock, timelock)`: whoever presents the
 //! hash preimage before the timelock claims it; after the timelock the

@@ -2,8 +2,8 @@
 //!
 //! The paper's §2.3 lists the mechanism families cross-chain systems build
 //! on — notary schemes, hash-locking, atomic swaps, side/relay chains — and
-//! §5 surveys the cross-chain *provenance* systems (Vassago [31],
-//! ForensiCross [11], SynergyChain [21]). This crate implements one working
+//! §5 surveys the cross-chain *provenance* systems (Vassago \[31\],
+//! ForensiCross \[11\], SynergyChain \[21\]). This crate implements one working
 //! member of each family:
 //!
 //! * [`htlc`] — hash time-locked contracts and Herlihy-style atomic swaps
@@ -19,12 +19,12 @@
 //!   chain-walk baseline (experiment E6);
 //! * [`synergy`] — SynergyChain's three-tier multichain data sharing with
 //!   hierarchical access control and catalog-accelerated queries;
-//! * [`twolayer`] — InfiniteChain's [37] main/side two-layer organization
+//! * [`twolayer`] — InfiniteChain's \[37\] main/side two-layer organization
 //!   with distributed auditing, including its heterogeneous-expansion
 //!   limitation;
 //! * [`tee`] — the TEE-attested query authenticity the survey proposes as a
 //!   Vassago enhancement (simulated attestation trust chain);
-//! * [`arc`] — ARC [88]: asynchronous batched relay for consortium chains
+//! * [`arc`] — ARC \[88\]: asynchronous batched relay for consortium chains
 //!   with the alternative trust models (and the evaluation) the survey
 //!   says ARC lacks;
 //! * [`interop`] — the §6.2 "unified solution": one `ChainConnector`

@@ -1,4 +1,4 @@
-//! SynergyChain [21]: a three-tier multichain data-sharing architecture
+//! SynergyChain \[21\]: a three-tier multichain data-sharing architecture
 //! with hierarchical access control.
 //!
 //! The paper (§5): *"To address the challenges of achieving unified
@@ -6,7 +6,7 @@
 //! sensitive data owners without permission control, SynergyChain
 //! introduces a three-tier architecture … aggregates data in a multichain
 //! system to facilitate data sharing among multiple institutions"* and
-//! *"reduc[es] data query latency compared to sequentially requesting
+//! *"reduc\[es\] data query latency compared to sequentially requesting
 //! multichain data."*
 //!
 //! Tiers here:

@@ -1,4 +1,4 @@
-//! InfiniteChain [37]: a two-layer main/side blockchain organization with
+//! InfiniteChain \[37\]: a two-layer main/side blockchain organization with
 //! distributed auditing of side chains.
 //!
 //! Hwang et al. organize blockchains in two layers — "a main blockchain and

@@ -1,4 +1,4 @@
-//! Vassago [31]: efficient and authenticated provenance queries across
+//! Vassago \[31\]: efficient and authenticated provenance queries across
 //! multiple blockchains.
 //!
 //! Vassago's insight: record cross-chain transaction *dependencies* on a

@@ -1,4 +1,4 @@
-//! The *distributed Merkle tree* of ForensiBlock [12].
+//! The *distributed Merkle tree* of ForensiBlock \[12\].
 //!
 //! ForensiBlock verifies the integrity of a forensic **case** without
 //! touching other cases' records: each case owns a segment tree over its own

@@ -1,7 +1,7 @@
 //! Group signatures: anonymous, unlinkable signing with manager-only
 //! opening.
 //!
-//! Abouyoussef et al. [3] build pandemic-diagnostics privacy on group
+//! Abouyoussef et al. \[3\] build pandemic-diagnostics privacy on group
 //! signatures ("privacy through group signature and random numbers,
 //! supporting anonymity and data unlinkability"). This module provides the
 //! same interface from hash-based primitives:

@@ -1,6 +1,6 @@
 //! Hash-chain range proofs (HashWires-style), substituting PrivChain's ZKRPs.
 //!
-//! PrivChain [52] lets supply-chain actors prove facts like "the shipment
+//! PrivChain \[52\] lets supply-chain actors prove facts like "the shipment
 //! temperature stayed within [2, 8] °C" without revealing readings, using
 //! Bulletproofs-style zero-knowledge range proofs. Those need homomorphic
 //! commitments we cannot build from scratch responsibly, so this module

@@ -1,4 +1,4 @@
-//! Steganographic evidence preservation — the AlKhanafseh & Surakhi [13]
+//! Steganographic evidence preservation — the AlKhanafseh & Surakhi \[13\]
 //! model.
 //!
 //! The surveyed design stores evidence with both confidentiality *and*

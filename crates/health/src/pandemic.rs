@@ -1,4 +1,4 @@
-//! The pandemic diagnostics platform of Abouyoussef et al. [3].
+//! The pandemic diagnostics platform of Abouyoussef et al. \[3\].
 //!
 //! The surveyed system collects symptoms remotely during a pandemic,
 //! diagnoses them automatically with a detector deployed *as a smart

@@ -1,8 +1,8 @@
-//! Multi-user searchable EHR index — the Niu et al. [59] reproduction.
+//! Multi-user searchable EHR index — the Niu et al. \[59\] reproduction.
 //!
-//! [59] shares EHRs on a private chain with "multi-user search capabilities
+//! \[59\] shares EHRs on a private chain with "multi-user search capabilities
 //! … ciphertext-based attribute encryption … detailed access control and
-//! prevent[ing] unauthorized doctors from uploading false information".
+//! prevent\[ing\] unauthorized doctors from uploading false information".
 //! True searchable attribute-based encryption needs pairing-based crypto we
 //! may not import, so this module implements the hash-only equivalent with
 //! the same interface and security *shape* (documented in DESIGN.md):
@@ -55,7 +55,7 @@ pub struct Posting {
 ///
 /// The index key stays server-side; searchers hold only a boolean
 /// capability — revoking it stops new searches immediately (unlike pure
-/// client-side trapdoor schemes, matching [59]'s server-mediated design).
+/// client-side trapdoor schemes, matching \[59\]'s server-mediated design).
 pub struct SearchIndex {
     index_key: [u8; 32],
     postings: BTreeMap<Hash256, Vec<Posting>>,

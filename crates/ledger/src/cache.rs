@@ -1,12 +1,12 @@
-//! A real least-recently-used cache shared by every block-store tier.
+//! A real least-recently-used cache, the one LRU implementation behind
+//! every durable tier's hot set.
 //!
-//! Both the durable backends keep a hot set of decoded blocks in memory:
-//! `FileStore` fronts its log with one and `TieredStore` fronts the segment
-//! store with one. Provenance queries revisit recent blocks heavily (the
-//! paper's E2 repeated-query experiments), so eviction order matters — the
-//! previous `FileStore` cache dropped an *arbitrary* `HashMap` entry, which
-//! under iteration-order bad luck evicts the hottest block. This module is
-//! the one LRU implementation both tiers share.
+//! The durable tiers keep hot decoded blocks and pages in memory through
+//! [`crate::readview::ShardedCache`], which shards this cache. Provenance
+//! queries revisit recent blocks heavily (the paper's E2 repeated-query
+//! experiments), so eviction order matters: dropping an *arbitrary*
+//! `HashMap` entry would, under iteration-order bad luck, evict the
+//! hottest block.
 //!
 //! O(1) insert / lookup / evict: a `HashMap` keyed by `K` pointing into a
 //! slab of slots threaded onto an intrusive doubly-linked recency list.

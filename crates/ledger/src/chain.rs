@@ -6,9 +6,12 @@
 //! *incrementally* across reorgs (undo back to the fork point, redo along
 //! the winning branch) instead of rebuilt from scratch, and a configured
 //! finality depth turns old blocks into checkpoints: their fork metadata is
-//! pruned and their decoded bodies are demoted to the store's cold tier. The
-//! combination gives bounded resident memory over unbounded history when
-//! paired with [`crate::segment::TieredStore`].
+//! pruned and their decoded bodies are demoted to the store's cold tier.
+//!
+//! A chain is opened one of two ways: in memory ([`Chain::new`]), with all
+//! of history resident, or durable ([`Chain::replay_with_tiers`]) over a
+//! block store, a [`TxIndex`] and a [`MetaStore`] together. The durable
+//! chain keeps resident memory bounded over unbounded history.
 
 use crate::block::{Block, BlockHash, BlockHeader, Checkpoint};
 use crate::floor::{FloorEntry, FloorReader};
@@ -21,6 +24,7 @@ use crate::tx::{AccountId, Transaction, TxId};
 use blockprov_crypto::merkle::MerkleProof;
 use blockprov_crypto::sha256::Hash256;
 use blockprov_wire::meta::{CheckpointSnapshot, SNAPSHOT_VERSION};
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -387,10 +391,10 @@ struct BlockUndo {
 /// absorbs one block, a reorg un-absorbs back to the fork point and
 /// re-absorbs along the winning branch.
 ///
-/// When the chain runs with a [`TxIndex`], this mutable tier covers only the
-/// *non-finalized suffix*: finality spills a block's entries to the durable
-/// index and pops them here, so resident entries stay O(finality window)
-/// over unbounded history. Author/kind lists are deques because absorb
+/// On a durable chain this mutable tier covers only the *non-finalized
+/// suffix*: finality spills a block's entries to the durable index and
+/// pops them here, so resident entries stay O(finality window) over
+/// unbounded history. Author/kind lists are deques because absorb
 /// appends at the back, reorg undo pops from the back, and finality spill
 /// pops from the front.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -478,14 +482,12 @@ impl ChainIndex {
     /// order (oldest block first), so each transaction is the current front
     /// of its author/kind deques.
     ///
-    /// With `prune_nonces` (a metadata tier is attached and the durable
-    /// nonce floor was already raised by this block's transactions), an
-    /// author whose last suffix transaction just spilled also loses their
-    /// mutable `next_nonce` entry: the floor covers every finalized
-    /// transaction, so for an author with no suffix transactions left the
-    /// floor is at least the mutable value. Without a metadata tier nonce
-    /// state stays resident (there is nowhere durable to serve it from).
-    fn spill(&mut self, hash: BlockHash, undo: &BlockUndo, prune_nonces: bool) {
+    /// An author whose last suffix transaction just spilled also loses
+    /// their mutable `next_nonce` entry: the durable nonce floor, raised by
+    /// this block's transactions, covers every finalized transaction, so
+    /// for an author with no suffix transactions left the floor is at
+    /// least the mutable value.
+    fn spill(&mut self, hash: BlockHash, undo: &BlockUndo) {
         for (i, u) in undo.txs.iter().enumerate() {
             // A later canonical block may have re-sealed the same id and
             // overwritten `tx_loc`; only remove the entry this block owns.
@@ -507,11 +509,9 @@ impl ChainIndex {
                 }
             }
         }
-        if prune_nonces {
-            for u in &undo.txs {
-                if !self.by_author.contains_key(&u.author) {
-                    self.next_nonce.remove(&u.author);
-                }
+        for u in &undo.txs {
+            if !self.by_author.contains_key(&u.author) {
+                self.next_nonce.remove(&u.author);
             }
         }
     }
@@ -523,20 +523,18 @@ impl ChainIndex {
 }
 
 /// Resident per-block chain metadata counts — what the bounded-memory
-/// story is about (ROADMAP: ~80 bytes per block without the durable tier).
+/// story is about (~80 bytes per block on an in-memory chain).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResidentMetadata {
     /// Fork-choice metadata entries (`meta`): non-finalized blocks plus the
-    /// checkpoint when a metadata tier prunes the finalized prefix.
+    /// checkpoint on a durable chain, which prunes the finalized prefix.
     pub meta: usize,
     /// In-memory canonical height→hash entries (the suffix above the
-    /// checkpoint when a metadata tier is attached, all of history else).
+    /// checkpoint on a durable chain, all of history in memory).
     pub canonical: usize,
-    /// Mutable per-author `next_nonce` entries (suffix authors when both
-    /// durable tiers are attached).
+    /// Mutable per-author `next_nonce` entries (suffix authors on a
+    /// durable chain).
     pub next_nonce: usize,
-    /// Durable nonce-floor entries (distinct finalized authors; persisted
-    /// in every snapshot, resident for O(1) validation).
     /// Nonce-floor records staged in the floor store's memory tail (the
     /// floors themselves page to disk; this is the crash-lossy window).
     pub nonce_floor: usize,
@@ -565,7 +563,7 @@ impl ResidentMetadata {
 
 /// One immutable published view of the chain's mutable suffix, captured at
 /// a commit point: tip, canonical hash deque, finality checkpoint and a
-/// clone of the suffix [`ChainIndex`].
+/// clone of the suffix `ChainIndex`.
 ///
 /// Everything *finalized* is deliberately absent — readers resolve it
 /// through the durable tiers' own published states ([`HeightReader`],
@@ -621,7 +619,8 @@ impl ChainSnapshot {
 }
 
 /// What the writer shares with every [`ChainReader`]: the published
-/// snapshot slot, a reader census, and the durable tiers' read handles.
+/// snapshot slot, a reader census, and the read handles of the block store
+/// and (on a durable chain) the index and metadata tiers.
 ///
 /// The census gates publishing — with zero readers attached the writer
 /// skips snapshot construction entirely, so a reader-free chain (replay,
@@ -629,10 +628,15 @@ impl ChainSnapshot {
 struct ChainReadShared {
     snapshot: Published<ChainSnapshot>,
     readers: AtomicUsize,
-    blocks: Option<Arc<dyn BlockReader>>,
-    tx_index: Option<TxIndexReader>,
-    heights: Option<HeightReader>,
-    floors: Option<FloorReader>,
+    blocks: Arc<dyn BlockReader>,
+    tiers: Option<TierReaders>,
+}
+
+/// Read handles of a durable chain's index and metadata tiers.
+struct TierReaders {
+    index: TxIndexReader,
+    heights: HeightReader,
+    floors: FloorReader,
 }
 
 impl fmt::Debug for ChainReadShared {
@@ -647,9 +651,8 @@ impl fmt::Debug for ChainReadShared {
 /// snapshots. Obtained from [`Chain::reader`]; cloning and dropping handles
 /// maintains the reader census that gates the writer's publish work.
 ///
-/// Each convenience method pins one fresh snapshot; use [`ChainReader::view`]
-/// to pin a snapshot across *several* queries that must agree with each
-/// other.
+/// Every query goes through [`ChainReader::view`], which pins one snapshot
+/// so that several queries agree with each other.
 #[derive(Debug)]
 pub struct ChainReader {
     shared: Arc<ChainReadShared>,
@@ -678,71 +681,6 @@ impl ChainReader {
             shared: Arc::clone(&self.shared),
         }
     }
-
-    /// Current published tip hash.
-    pub fn tip(&self) -> BlockHash {
-        self.view().tip()
-    }
-
-    /// Current published tip height.
-    pub fn height(&self) -> u64 {
-        self.view().height()
-    }
-
-    /// Current published finality checkpoint height.
-    pub fn finalized_height(&self) -> u64 {
-        self.view().finalized_height()
-    }
-
-    /// Canonical block hash at `height` in the latest published view.
-    pub fn hash_at(&self, height: u64) -> Option<BlockHash> {
-        self.view().hash_at(height)
-    }
-
-    /// Fetch any stored block (requires a store with a concurrent reader).
-    pub fn block(&self, hash: &BlockHash) -> Option<Arc<Block>> {
-        self.view().block(hash)
-    }
-
-    /// Fetch the canonical block at `height`.
-    pub fn block_at(&self, height: u64) -> Option<Arc<Block>> {
-        self.view().block_at(height)
-    }
-
-    /// Locate a canonical transaction: `(containing block hash, position)`.
-    pub fn tx_by_id(&self, id: &TxId) -> Option<(BlockHash, u32)> {
-        self.view().tx_by_id(id)
-    }
-
-    /// Fetch a canonical transaction by id.
-    pub fn get_tx(&self, id: &TxId) -> Option<Transaction> {
-        self.view().get_tx(id)
-    }
-
-    /// All canonical transaction ids by author, oldest first.
-    pub fn txs_by_author(&self, author: &AccountId) -> Vec<TxId> {
-        self.view().txs_by_author(author)
-    }
-
-    /// All canonical transaction ids with the given kind tag, oldest first.
-    pub fn txs_by_kind(&self, kind: u16) -> Vec<TxId> {
-        self.view().txs_by_kind(kind)
-    }
-
-    /// Next expected nonce for an author on the canonical chain.
-    pub fn next_nonce_for(&self, author: &AccountId) -> u64 {
-        self.view().next_nonce_for(author)
-    }
-
-    /// Produce a self-contained inclusion proof for a canonical transaction.
-    pub fn prove_tx(&self, id: &TxId) -> Option<TxInclusionProof> {
-        self.view().prove_tx(id)
-    }
-
-    /// Whether `hash` lies on the canonical chain of the latest snapshot.
-    pub fn is_canonical(&self, hash: &BlockHash) -> bool {
-        self.view().is_canonical(hash)
-    }
 }
 
 /// One pinned snapshot plus the durable tiers' read handles: every query
@@ -752,8 +690,8 @@ impl ChainReader {
 /// Durable-tier results are filtered to `height <= finalized_height` of the
 /// pinned snapshot, which is what keeps a tier that has advanced past the
 /// snapshot from leaking newer entries into the view. Durable read *errors*
-/// surface as absence (`None` / empty), matching [`Chain::tx_by_id`]'s
-/// convention on the writer side.
+/// surface as absence (`None` / empty) after logging, matching
+/// [`Chain::tx_by_id`]'s convention on the writer side.
 #[derive(Debug, Clone)]
 pub struct ChainView {
     snap: Arc<ChainSnapshot>,
@@ -798,19 +736,16 @@ impl ChainView {
         if height >= self.snap.canonical_base {
             return None; // above the snapshot's tip
         }
-        match &self.shared.heights {
-            Some(map) => map.hash_at(height).unwrap_or_else(|e| {
-                eprintln!("ledger: reader height lookup failed: {e}");
-                None
-            }),
-            None => None,
-        }
+        let tiers = self.shared.tiers.as_ref()?;
+        tiers.heights.hash_at(height).unwrap_or_else(|e| {
+            eprintln!("ledger: reader height lookup failed: {e}");
+            None
+        })
     }
 
-    /// Fetch any stored block. `None` when absent *or* when the chain's
-    /// store has no concurrent reader (see [`BlockStore::reader`]).
+    /// Fetch any stored block (canonical or fork).
     pub fn block(&self, hash: &BlockHash) -> Option<Arc<Block>> {
-        self.shared.blocks.as_ref()?.get(hash)
+        self.shared.blocks.get(hash)
     }
 
     /// Fetch the canonical block at `height`.
@@ -827,8 +762,8 @@ impl ChainView {
         if let Some(loc) = self.snap.index.tx_loc.get(id) {
             return Some(*loc);
         }
-        let ix = self.shared.tx_index.as_ref()?;
-        ix.lookup(id, self.snap.finalized_height).unwrap_or_else(|e| {
+        let tiers = self.shared.tiers.as_ref()?;
+        tiers.index.lookup(id, self.snap.finalized_height).unwrap_or_else(|e| {
             eprintln!("ledger: reader tx lookup failed: {e}");
             None
         })
@@ -850,8 +785,9 @@ impl ChainView {
     /// entries capped at the snapshot's checkpoint, then the snapshot's
     /// suffix list.
     pub fn txs_by_author(&self, author: &AccountId) -> Vec<TxId> {
-        let mut out = match &self.shared.tx_index {
-            Some(ix) => ix
+        let mut out = match &self.shared.tiers {
+            Some(tiers) => tiers
+                .index
                 .entries_by_author(author, self.snap.finalized_height)
                 .map(|es| es.into_iter().map(|e| e.id).collect())
                 .unwrap_or_else(|e| {
@@ -868,8 +804,9 @@ impl ChainView {
 
     /// All canonical transaction ids with the given kind tag, oldest first.
     pub fn txs_by_kind(&self, kind: u16) -> Vec<TxId> {
-        let mut out = match &self.shared.tx_index {
-            Some(ix) => ix
+        let mut out = match &self.shared.tiers {
+            Some(tiers) => tiers
+                .index
                 .entries_by_kind(kind, self.snap.finalized_height)
                 .map(|es| es.into_iter().map(|e| e.id).collect())
                 .unwrap_or_else(|e| {
@@ -886,11 +823,14 @@ impl ChainView {
 
     /// Next expected nonce for an author: the snapshot's mutable tier
     /// merged with the durable nonce floor capped at the snapshot's
-    /// checkpoint, exactly like [`Chain::next_nonce_for`].
+    /// checkpoint, like [`Chain::next_nonce_for`] — except that an
+    /// unreadable floor page reads as no floor here. Reads never feed
+    /// validation; the writer's accessor fails closed instead.
     pub fn next_nonce_for(&self, author: &AccountId) -> u64 {
         let mutable = self.snap.index.next_nonce.get(author).copied().unwrap_or(0);
-        let floor = match &self.shared.floors {
-            Some(floors) => floors
+        let floor = match &self.shared.tiers {
+            Some(tiers) => tiers
+                .floors
                 .lookup(author, self.snap.finalized_height)
                 .unwrap_or_else(|e| {
                     eprintln!("ledger: reader floor lookup failed: {e}");
@@ -915,14 +855,61 @@ impl ChainView {
     }
 
     /// Whether `hash` lies on the canonical chain of the pinned snapshot.
-    /// Requires a store with a concurrent reader to resolve the block's
-    /// height.
     pub fn is_canonical(&self, hash: &BlockHash) -> bool {
         match self.block(hash) {
             Some(block) => self.hash_at(block.header.height) == Some(*hash),
             None => false,
         }
     }
+}
+
+/// The durable index and metadata tiers of a chain opened with
+/// [`Chain::replay_with_tiers`]. A chain holds both or neither.
+struct DurableTiers {
+    /// Finalized transaction entries spill here at checkpoint time, and
+    /// the mutable [`ChainIndex`] then covers only the suffix.
+    index: TxIndex,
+    /// Finalized height→hash entries, nonce floors and checkpoint
+    /// snapshots; `meta`/`canonical`/`next_nonce` prune to the suffix.
+    meta: MetaStore,
+}
+
+impl DurableTiers {
+    fn readers(&self) -> TierReaders {
+        TierReaders {
+            index: self.index.reader(),
+            heights: self.meta.height_map().reader(),
+            floors: self.meta.floors().reader(),
+        }
+    }
+}
+
+fn invalid_data(msg: String) -> std::io::Error {
+    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+}
+
+/// First height whose entries a derived tier may have lost in a crash: the
+/// height the snapshot recorded as synced, lowered to any partition whose
+/// durable watermark fell below the one the snapshot recorded (a torn page
+/// truncated on open).
+fn heal_start(
+    tier: &str,
+    synced: u64,
+    recorded: &[u64],
+    current: &[u64],
+) -> std::io::Result<u64> {
+    if !recorded.is_empty() && recorded.len() != current.len() {
+        return Err(invalid_data(format!(
+            "snapshot records {} {tier} partitions, the {tier} tier has {}",
+            recorded.len(),
+            current.len()
+        )));
+    }
+    Ok(current
+        .iter()
+        .zip(recorded)
+        .filter(|(current, recorded)| current < recorded)
+        .fold(synced, |from, (current, _)| from.min(*current)))
 }
 
 /// The blockchain: stores all blocks (forks included), tracks the heaviest
@@ -935,7 +922,8 @@ pub struct Chain {
     tip: BlockHash,
     genesis: BlockHash,
     /// First height covered by the in-memory `canonical` suffix. Stays 0
-    /// without a metadata tier; tracks the finality checkpoint with one.
+    /// on an in-memory chain; tracks the finality checkpoint on a durable
+    /// one.
     canonical_base: u64,
     /// Canonical block hashes for heights `canonical_base..=height`.
     canonical: VecDeque<BlockHash>,
@@ -950,14 +938,9 @@ pub struct Chain {
     /// Height of the current finality checkpoint (0 = only genesis final…
     /// and genesis is only treated as final once a depth is configured).
     finalized_height: u64,
-    /// Durable index tier: finalized entries spill here at checkpoint time
-    /// and the mutable [`ChainIndex`] then covers only the suffix. `None`
-    /// keeps the PR 2 behavior (everything resident).
-    tx_index: Option<TxIndex>,
-    /// Durable metadata tier: finalized height→hash entries and checkpoint
-    /// snapshots land here, and `meta`/`canonical`/`next_nonce` prune to
-    /// the non-finalized suffix. `None` keeps everything resident.
-    meta_tier: Option<MetaStore>,
+    /// The durable index and metadata tiers. `None` for an in-memory
+    /// chain, which keeps all of history resident.
+    tiers: Option<DurableTiers>,
     /// Height through which the durable tx index was last fully synced
     /// (recorded in snapshots; bounds crash-recovery re-derivation).
     index_synced_height: u64,
@@ -982,69 +965,32 @@ pub struct Chain {
     /// [`TxIndex`] in one call per batch instead of one per advance.
     staged_spill: Vec<IndexEntry>,
     /// Group-commit staging for nonce floors: `author → (next nonce,
-    /// height)` with the same max-nonce-wins merge [`FloorStore::append`]
-    /// applies, so deferring the append is observationally identical.
+    /// height)` with the same max-nonce-wins merge
+    /// [`crate::floor::FloorStore::append`] applies, so deferring the
+    /// append is observationally identical.
     /// Consulted by [`Chain::next_nonce_for`] because the resident nonce
     /// entry is pruned the moment its author finalizes out of the suffix.
     staged_floors: HashMap<AccountId, (u64, u64)>,
 }
 
 impl Chain {
-    /// Create a chain with an in-memory store and a deterministic genesis.
+    /// Create an in-memory chain with a deterministic genesis. All of
+    /// history stays resident; [`Chain::replay_with_tiers`] opens a
+    /// durable chain.
     pub fn new(config: ChainConfig) -> Self {
-        Self::with_store(Box::new(MemStore::new()), config)
+        Self::fresh(Box::new(MemStore::new()), None, config).expect("in-memory genesis")
     }
 
-    /// Create a chain over a custom store.
-    ///
-    /// If the store already holds a genesis-compatible history it is *not*
-    /// replayed — this constructor always starts a fresh lineage. Use
-    /// [`Chain::replay`] to resume from a durable store.
-    pub fn with_store(store: Box<dyn BlockStore>, config: ChainConfig) -> Self {
-        Self::with_optional_tiers(store, None, None, config)
-    }
-
-    /// Create a chain over a custom store *and* a durable transaction
-    /// index: at each finality checkpoint, entries for newly-final blocks
-    /// are flushed to `index` and dropped from the mutable in-memory index,
-    /// bounding resident index memory by the finality window.
-    ///
-    /// The index must belong to this store's history (fresh, or reopened
-    /// alongside it). To resume both from disk use
-    /// [`Chain::replay_with_index`].
-    pub fn with_store_and_index(
-        store: Box<dyn BlockStore>,
-        index: TxIndex,
-        config: ChainConfig,
-    ) -> Self {
-        Self::with_optional_tiers(store, Some(index), None, config)
-    }
-
-    /// Create a chain over all three durable tiers: block store, durable
-    /// transaction index, and the metadata tier (height→hash map plus
-    /// checkpoint snapshots). Finality then prunes `meta`, the canonical
-    /// height vector and per-author nonces down to the non-finalized
-    /// suffix, leaving resident chain state O(finality window + live
-    /// forks) over unbounded history. Use [`Chain::replay_with_tiers`] to
-    /// resume from disk.
-    pub fn with_tiers(
-        store: Box<dyn BlockStore>,
-        index: Option<TxIndex>,
-        meta: MetaStore,
-        config: ChainConfig,
-    ) -> Self {
-        Self::with_optional_tiers(store, index, Some(meta), config)
-    }
-
-    fn with_optional_tiers(
+    /// A chain holding only genesis. A reused height map must start at
+    /// this chain's genesis.
+    fn fresh(
         mut store: Box<dyn BlockStore>,
-        tx_index: Option<TxIndex>,
-        mut meta_tier: Option<MetaStore>,
+        mut tiers: Option<DurableTiers>,
         config: ChainConfig,
-    ) -> Self {
+    ) -> std::io::Result<Self> {
         let genesis_block = Self::genesis_block();
         let genesis = genesis_block.hash();
-        let arc = store.put(genesis_block).expect("store genesis");
+        let arc = store.put(genesis_block)?;
         let mut meta = HashMap::new();
         meta.insert(
             genesis,
@@ -1059,25 +1005,19 @@ impl Chain {
         index.absorb(&arc);
         let mut at_height = HashMap::new();
         at_height.insert(0u64, vec![genesis]);
-        if let Some(meta_store) = &mut meta_tier {
-            // A fresh lineage starts its height map at genesis; a reused
-            // metadata directory must belong to the same lineage.
-            let map = meta_store.height_map_mut();
+        if let Some(tiers) = &mut tiers {
+            let map = tiers.meta.height_map_mut();
             if map.is_empty() {
-                map.push(0, genesis).expect("height map genesis");
-            } else {
-                let at0 = map.hash_at(0).expect("height map readable");
-                assert_eq!(
-                    at0,
-                    Some(genesis),
-                    "metadata tier belongs to a different lineage"
-                );
+                map.push(0, genesis)?;
+            } else if map.hash_at(0)? != Some(genesis) {
+                return Err(invalid_data(
+                    "metadata tier belongs to a different lineage".to_string(),
+                ));
             }
         }
         let read_shared = Self::make_read_shared(
             store.as_ref(),
-            &tx_index,
-            &meta_tier,
+            &tiers,
             ChainSnapshot {
                 tip: genesis,
                 genesis,
@@ -1091,7 +1031,7 @@ impl Chain {
                 index: index.clone(),
             },
         );
-        Self {
+        Ok(Self {
             config,
             store,
             meta,
@@ -1103,8 +1043,7 @@ impl Chain {
             undo: HashMap::new(),
             at_height,
             finalized_height: 0,
-            tx_index,
-            meta_tier,
+            tiers,
             index_synced_height: 0,
             floor_synced_height: 0,
             last_snapshot_height: 0,
@@ -1113,92 +1052,63 @@ impl Chain {
             read_shared,
             staged_spill: Vec::new(),
             staged_floors: HashMap::new(),
-        }
+        })
     }
 
     /// Assemble the shared read state for a freshly constructed chain:
-    /// durable-tier read handles plus an initial snapshot.
+    /// read handles plus an initial snapshot.
     fn make_read_shared(
         store: &dyn BlockStore,
-        tx_index: &Option<TxIndex>,
-        meta_tier: &Option<MetaStore>,
+        tiers: &Option<DurableTiers>,
         initial: ChainSnapshot,
     ) -> Arc<ChainReadShared> {
         Arc::new(ChainReadShared {
             snapshot: Published::new(initial),
             readers: AtomicUsize::new(0),
             blocks: store.reader(),
-            tx_index: tx_index.as_ref().map(TxIndex::reader),
-            heights: meta_tier.as_ref().map(|m| m.height_map().reader()),
-            floors: meta_tier.as_ref().map(|m| m.floors().reader()),
+            tiers: tiers.as_ref().map(DurableTiers::readers),
         })
     }
 
-    /// Rebuild a chain from the blocks already persisted in `store`.
+    /// Open a durable chain over the block store, the transaction index
+    /// and the metadata tier — fresh or resumed.
     ///
-    /// The store is scanned (parents before children), the deterministic
-    /// genesis is matched, and every other block is re-validated and
-    /// re-appended under `config` — fork choice, canonical indexes and the
-    /// finality checkpoint all land where the original process left them.
-    /// Resident memory stays bounded by the store's hot tier: the scan only
-    /// retains `(height, hash)` pairs, and bodies are fetched one at a time.
-    pub fn replay(store: Box<dyn BlockStore>, config: ChainConfig) -> std::io::Result<Self> {
-        Self::replay_inner(store, None, None, config)
-    }
-
-    /// [`Chain::replay`] with a durable transaction index.
+    /// Empty directories start a new lineage at genesis. When the metadata
+    /// tier holds a readable [`CheckpointSnapshot`], the chain
+    /// *fast-starts*: state is seeded from the checkpoint (height, hash,
+    /// nonce floor), finalized height→hash lookups come from the durable
+    /// height map, and only the non-finalized suffix is re-validated and
+    /// re-absorbed — cold-start cost is O(suffix), not O(history). A torn
+    /// height-map tail or a lost index tail is healed from blocks (blocks
+    /// stay authoritative); a snapshot that contradicts the block store
+    /// fails loudly.
     ///
-    /// Re-appending the stored history re-derives every index entry, but
-    /// [`TxIndex::append`] drops entries already durable in a partition
-    /// (height at or below its durable watermark), so only the suffix lost
-    /// to a crash — if any — is actually rewritten. The net effect is that
-    /// a restart *rehydrates* full-history queries from the index pages
-    /// instead of rebuilding them all in RAM.
-    pub fn replay_with_index(
-        store: Box<dyn BlockStore>,
-        index: TxIndex,
-        config: ChainConfig,
-    ) -> std::io::Result<Self> {
-        Self::replay_inner(store, Some(index), None, config)
-    }
-
-    /// Resume a chain from all three durable tiers.
+    /// Without a usable snapshot every stored block is scanned (parents
+    /// before children) and re-appended under `config`: fork choice,
+    /// indexes and the finality checkpoint land where the original process
+    /// left them, and the index and metadata tiers are rewritten. Resident
+    /// memory stays bounded by the store's hot tier: the scan retains only
+    /// `(height, hash)` pairs and bodies are fetched a chunk at a time.
     ///
-    /// When the metadata tier holds a readable [`CheckpointSnapshot`], the
-    /// chain *fast-starts*: state is seeded from the checkpoint (height,
-    /// hash, nonce floor), finalized height→hash lookups come from the
-    /// durable height map, and only the non-finalized suffix is
-    /// re-validated and re-absorbed — cold-start cost is O(suffix), not
-    /// O(history). A torn height-map tail or a lost index tail is healed
-    /// from blocks (blocks stay authoritative); a snapshot that contradicts
-    /// the block store fails loudly. Without a usable snapshot this falls
-    /// back to a full replay, which rebuilds and rewrites the tier.
+    /// A chain keeps its index and metadata tiers together, so `index` must
+    /// be `Some`; `None` is rejected with
+    /// [`std::io::ErrorKind::InvalidInput`].
     pub fn replay_with_tiers(
         store: Box<dyn BlockStore>,
         index: Option<TxIndex>,
         meta: MetaStore,
         config: ChainConfig,
     ) -> std::io::Result<Self> {
-        Self::replay_inner(store, index, Some(meta), config)
-    }
-
-    fn replay_inner(
-        store: Box<dyn BlockStore>,
-        index: Option<TxIndex>,
-        meta: Option<MetaStore>,
-        config: ChainConfig,
-    ) -> std::io::Result<Self> {
-        if let Some(meta_store) = &meta {
-            if let Some(snap) = meta_store.read_snapshot()? {
-                if snap.height > 0 {
-                    return Self::fast_start(
-                        store,
-                        index,
-                        meta.expect("checked above"),
-                        snap,
-                        config,
-                    );
-                }
+        let Some(index) = index else {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "a durable chain needs its transaction index tier",
+            ));
+        };
+        let tiers = DurableTiers { index, meta };
+        if let Some(snap) = tiers.meta.read_snapshot()? {
+            if snap.height > 0 {
+                return Self::fast_start(store, tiers, snap, config);
             }
         }
         let mut order: Vec<(u64, BlockHash)> = Vec::new();
@@ -1206,7 +1116,7 @@ impl Chain {
         // Stable sort: parents (strictly lower height) come first, original
         // append order is preserved within a height.
         order.sort_by_key(|&(h, _)| h);
-        let mut chain = Self::with_optional_tiers(store, index, meta, config);
+        let mut chain = Self::fresh(store, Some(tiers), config)?;
         chain.replay_all(order)?;
         chain.sync_meta()?;
         Ok(chain)
@@ -1233,10 +1143,7 @@ impl Chain {
                     continue; // genesis (or a duplicate frame)
                 }
                 let block = self.store.get(&hash).ok_or_else(|| {
-                    std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        format!("replay: scanned block {hash} missing from store"),
-                    )
+                    invalid_data(format!("replay: scanned block {hash} missing from store"))
                 })?;
                 pending.push((h, hash));
                 bodies.push((*block).clone());
@@ -1252,10 +1159,9 @@ impl Chain {
                         max_orphan_height = max_orphan_height.max(h);
                     }
                     Err(e) => {
-                        return Err(std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!("replay: stored block {hash} no longer valid: {e}"),
-                        ))
+                        return Err(invalid_data(format!(
+                            "replay: stored block {hash} no longer valid: {e}"
+                        )))
                     }
                 }
             }
@@ -1270,14 +1176,11 @@ impl Chain {
         // tip here). Crash leftovers from a mid-compaction rename sit at
         // or below the tip and stay skippable.
         if max_orphan_height > self.height() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "replay: canonical history truncated — a stored block at height \
-                     {max_orphan_height} has no ancestry but the replayed tip is at {}",
-                    self.height()
-                ),
-            ));
+            return Err(invalid_data(format!(
+                "replay: canonical history truncated — a stored block at height \
+                 {max_orphan_height} has no ancestry but the replayed tip is at {}",
+                self.height()
+            )));
         }
         Ok(())
     }
@@ -1286,23 +1189,21 @@ impl Chain {
     /// non-finalized suffix. See [`Chain::replay_with_tiers`].
     fn fast_start(
         store: Box<dyn BlockStore>,
-        tx_index: Option<TxIndex>,
-        mut meta_tier: MetaStore,
+        mut tiers: DurableTiers,
         snap: CheckpointSnapshot,
         config: ChainConfig,
     ) -> std::io::Result<Self> {
-        let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
         let cp_hash = BlockHash(Hash256(snap.hash));
         // Loud-failure contract: a valid snapshot must agree with the block
         // store, otherwise the directories belong to different histories.
         let cp_block = store.get(&cp_hash).ok_or_else(|| {
-            invalid(format!(
+            invalid_data(format!(
                 "snapshot checkpoint {cp_hash} at height {} missing from the block store",
                 snap.height
             ))
         })?;
         if cp_block.header.height != snap.height {
-            return Err(invalid(format!(
+            return Err(invalid_data(format!(
                 "snapshot says height {} but stored block {cp_hash} has height {}",
                 snap.height, cp_block.header.height
             )));
@@ -1310,7 +1211,7 @@ impl Chain {
         // Heal the height map: a crash can lose its staged tail (or tear
         // its last page, truncated on open). Blocks are authoritative —
         // walk parent pointers down from the checkpoint and refill.
-        let have = meta_tier.height_map().len();
+        let have = tiers.meta.height_map().len();
         if have <= snap.height {
             let mut fill: Vec<(u64, BlockHash)> = Vec::new();
             let mut cur = Arc::clone(&cp_block);
@@ -1324,7 +1225,7 @@ impl Chain {
                     break;
                 }
                 let parent = store.get(&cur.header.prev).ok_or_else(|| {
-                    invalid(format!(
+                    invalid_data(format!(
                         "height map heal: canonical ancestor {} missing from the block store",
                         cur.header.prev
                     ))
@@ -1332,15 +1233,16 @@ impl Chain {
                 cur = parent;
             }
             for (h, hash) in fill.into_iter().rev() {
-                meta_tier.height_map_mut().push(h, hash)?;
+                tiers.meta.height_map_mut().push(h, hash)?;
             }
         }
-        if meta_tier.height_map().hash_at(snap.height)? != Some(cp_hash) {
-            return Err(invalid(format!(
+        if tiers.meta.height_map().hash_at(snap.height)? != Some(cp_hash) {
+            return Err(invalid_data(format!(
                 "height map disagrees with snapshot checkpoint at height {}",
                 snap.height
             )));
         }
+        Self::heal_tiers(&mut tiers, store.as_ref(), &snap)?;
         let mut meta = HashMap::new();
         // The checkpoint anchors fork choice: every later block's
         // total_work is relative to it, and relative order is all the
@@ -1357,11 +1259,10 @@ impl Chain {
         let mut at_height = HashMap::new();
         at_height.insert(snap.height, vec![cp_hash]);
         let genesis = Self::genesis_block().hash();
-        let meta_tier = Some(meta_tier);
+        let tiers = Some(tiers);
         let read_shared = Self::make_read_shared(
             store.as_ref(),
-            &tx_index,
-            &meta_tier,
+            &tiers,
             ChainSnapshot {
                 tip: cp_hash,
                 genesis,
@@ -1387,8 +1288,7 @@ impl Chain {
             undo: HashMap::new(),
             at_height,
             finalized_height: snap.height,
-            tx_index,
-            meta_tier,
+            tiers,
             index_synced_height: snap.index_durable_height,
             floor_synced_height: snap.floor_durable_height,
             last_snapshot_height: snap.height,
@@ -1398,8 +1298,6 @@ impl Chain {
             staged_spill: Vec::new(),
             staged_floors: HashMap::new(),
         };
-        chain.heal_index(&snap)?;
-        chain.heal_floors(&snap)?;
         // Replay only the non-finalized suffix: a fenced header scan skips
         // sealed segments wholly below the checkpoint (the manifest's
         // per-segment height fences), so cold-start I/O is O(finality
@@ -1419,127 +1317,65 @@ impl Chain {
         Ok(chain)
     }
 
-    /// Re-derive durable-index entries a crash may have lost.
-    ///
-    /// Entries at or below the snapshot's `index_durable_height` were
-    /// synced to durable pages; anything above it up to the checkpoint may
-    /// have sat in the crash-lossy staged tail. If a partition's durable
-    /// watermark additionally fell below what the snapshot recorded (a
-    /// torn page truncated on open), the re-derivation floor drops to that
-    /// watermark. Appends are idempotent per partition, so over-covering
-    /// costs reads, never duplicates.
-    fn heal_index(&mut self, snap: &CheckpointSnapshot) -> std::io::Result<()> {
-        let Some(ix) = &self.tx_index else {
-            return Ok(());
-        };
-        let watermarks = ix.partition_watermarks();
-        if !snap.index_watermarks.is_empty() && watermarks.len() != snap.index_watermarks.len() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "snapshot records {} index partitions, index has {}",
-                    snap.index_watermarks.len(),
-                    watermarks.len()
-                ),
-            ));
-        }
-        let mut from = snap.index_durable_height;
-        for (current, recorded) in watermarks.iter().zip(&snap.index_watermarks) {
-            if current < recorded {
-                from = from.min(*current);
-            }
-        }
-        if from >= snap.height {
-            return Ok(());
-        }
+    /// Re-derive the finalized index entries and nonce floors a crash may
+    /// have lost, from the blocks between each tier's [`heal_start`] and
+    /// the snapshot's checkpoint. Entries at or below a tier's synced
+    /// height reached durable pages; anything above it may have sat in the
+    /// crash-lossy staged tail. Appends are idempotent per partition, so
+    /// over-covering costs reads, never duplicates.
+    fn heal_tiers(
+        tiers: &mut DurableTiers,
+        store: &dyn BlockStore,
+        snap: &CheckpointSnapshot,
+    ) -> std::io::Result<()> {
+        let index_from = heal_start(
+            "index",
+            snap.index_durable_height,
+            &snap.index_watermarks,
+            &tiers.index.partition_watermarks(),
+        )?;
+        let floor_from = heal_start(
+            "floor",
+            snap.floor_durable_height,
+            &snap.floor_watermarks,
+            &tiers.meta.floors().partition_watermarks(),
+        )?;
         let mut entries: Vec<IndexEntry> = Vec::new();
-        for h in (from + 1)..=snap.height {
-            let hash = self.try_hash_at(h)?.ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("index heal: no canonical hash at height {h}"),
-                )
+        let mut floors: Vec<FloorEntry> = Vec::new();
+        for h in (index_from.min(floor_from) + 1)..=snap.height {
+            let hash = tiers.meta.height_map().hash_at(h)?.ok_or_else(|| {
+                invalid_data(format!("tier heal: no canonical hash at height {h}"))
             })?;
-            let block = self.store.get(&hash).ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("index heal: canonical block {hash} missing from the block store"),
-                )
+            let block = store.get(&hash).ok_or_else(|| {
+                invalid_data(format!(
+                    "tier heal: canonical block {hash} missing from the block store"
+                ))
             })?;
-            entries.extend(block.txs.iter().enumerate().map(|(pos, tx)| IndexEntry {
-                id: tx.id(),
-                author: tx.author,
-                kind: tx.kind,
-                block: hash,
-                height: h,
-                pos: pos as u32,
-            }));
+            for (pos, tx) in block.txs.iter().enumerate() {
+                if h > index_from {
+                    entries.push(IndexEntry {
+                        id: tx.id(),
+                        author: tx.author,
+                        kind: tx.kind,
+                        block: hash,
+                        height: h,
+                        pos: pos as u32,
+                    });
+                }
+                if h > floor_from {
+                    floors.push(FloorEntry {
+                        author: tx.author,
+                        nonce: tx.nonce + 1,
+                        height: h,
+                    });
+                }
+            }
         }
         if !entries.is_empty() {
-            self.tx_index
-                .as_mut()
-                .expect("checked above")
-                .append(entries)?;
-        }
-        Ok(())
-    }
-
-    /// Re-derive nonce floors a crash may have lost, mirroring
-    /// [`Chain::heal_index`]: floors at or below the snapshot's
-    /// `floor_durable_height` were synced to durable pages; anything above
-    /// it up to the checkpoint sat in the crash-lossy staged tail. A
-    /// partition whose durable watermark fell below what the snapshot
-    /// recorded (torn page truncated on open) drops the re-derivation
-    /// floor further. Floor appends are watermark-idempotent, so
-    /// over-covering costs reads, never duplicates.
-    fn heal_floors(&mut self, snap: &CheckpointSnapshot) -> std::io::Result<()> {
-        let meta = self.meta_tier.as_ref().expect("fast start has a meta tier");
-        let watermarks = meta.floors().partition_watermarks();
-        if !snap.floor_watermarks.is_empty() && watermarks.len() != snap.floor_watermarks.len() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!(
-                    "snapshot records {} floor partitions, floor store has {}",
-                    snap.floor_watermarks.len(),
-                    watermarks.len()
-                ),
-            ));
-        }
-        let mut from = snap.floor_durable_height;
-        for (current, recorded) in watermarks.iter().zip(&snap.floor_watermarks) {
-            if current < recorded {
-                from = from.min(*current);
-            }
-        }
-        if from >= snap.height {
-            return Ok(());
-        }
-        let mut floors: Vec<FloorEntry> = Vec::new();
-        for h in (from + 1)..=snap.height {
-            let hash = self.try_hash_at(h)?.ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("floor heal: no canonical hash at height {h}"),
-                )
-            })?;
-            let block = self.store.get(&hash).ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("floor heal: canonical block {hash} missing from the block store"),
-                )
-            })?;
-            floors.extend(block.txs.iter().map(|tx| FloorEntry {
-                author: tx.author,
-                nonce: tx.nonce + 1,
-                height: h,
-            }));
+            tiers.index.append(entries)?;
         }
         if !floors.is_empty() {
-            self.meta_tier
-                .as_mut()
-                .expect("checked above")
-                .floors_mut()
-                .append(floors)?;
+            tiers.meta.floors_mut().append(floors)?;
         }
         Ok(())
     }
@@ -1598,9 +1434,8 @@ impl Chain {
 
     /// Canonical block hash at `height` — the two-tier merged accessor.
     ///
-    /// The in-memory suffix covers heights above the checkpoint; the
-    /// durable height map (when a metadata tier is attached) serves
-    /// finalized history. An unreadable durable tier reads as absent here,
+    /// The in-memory suffix covers heights above the checkpoint; on a
+    /// durable chain the height map serves finalized history. An unreadable durable tier reads as absent here,
     /// matching [`BlockStore::get`]; error-aware callers use
     /// [`Chain::try_hash_at`].
     pub fn hash_at(&self, height: u64) -> Option<BlockHash> {
@@ -1615,8 +1450,8 @@ impl Chain {
         if height >= self.canonical_base {
             return Ok(None); // above the tip
         }
-        match &self.meta_tier {
-            Some(meta) => meta.height_map().hash_at(height),
+        match &self.tiers {
+            Some(tiers) => tiers.meta.height_map().hash_at(height),
             None => Ok(None),
         }
     }
@@ -1645,13 +1480,13 @@ impl Chain {
     /// Whether `hash` lies on the canonical chain.
     ///
     /// Non-finalized blocks answer from fork-choice metadata; finalized
-    /// blocks (whose metadata a metadata tier prunes) answer through the
+    /// blocks (whose metadata a durable chain prunes) answer through the
     /// durable height map, fetching the block once for its height.
     pub fn is_canonical(&self, hash: &BlockHash) -> bool {
         if let Some(m) = self.meta.get(hash) {
             return self.suffix_hash(m.height) == Some(*hash);
         }
-        if self.meta_tier.is_none() {
+        if self.tiers.is_none() {
             return false;
         }
         match self.store.get(hash) {
@@ -1676,11 +1511,6 @@ impl Chain {
         self.store.stored_bytes()
     }
 
-    /// Next expected nonce for an author on the canonical chain.
-    pub fn next_nonce(&self, author: &AccountId) -> u64 {
-        self.next_nonce_for(author)
-    }
-
     /// Next expected nonce for an author — the two-tier merged accessor.
     ///
     /// The mutable tier covers authors with transactions in the
@@ -1688,10 +1518,9 @@ impl Chain {
     /// each finality advance) covers finalized history. The maximum of the
     /// two is the full-history value. An active author resolves from the
     /// floor store's staged tail or its hot page cache; only a cold author
-    /// costs a page read. An unreadable floor store reads as no floor
-    /// (matching [`BlockStore::get`]'s `Option` contract) after logging —
-    /// blocks stay authoritative and a replay rebuilds the floors.
-    pub fn next_nonce_for(&self, author: &AccountId) -> u64 {
+    /// costs a page read. An unreadable floor page is an error, never a
+    /// floor of 0: nonce validation must fail closed.
+    pub fn next_nonce_for(&self, author: &AccountId) -> std::io::Result<u64> {
         let mutable = self.index.next_nonce.get(author).copied().unwrap_or(0);
         // Floors raised by finality advances in the current batch sit in
         // the chain's group-commit staging until `flush_commits`; the
@@ -1702,24 +1531,21 @@ impl Chain {
             .get(author)
             .map(|&(nonce, _)| nonce)
             .unwrap_or(0);
-        let floor = match &self.meta_tier {
-            Some(meta) => meta
+        let floor = match &self.tiers {
+            Some(tiers) => tiers
+                .meta
                 .floors()
-                .lookup(author, self.finalized_height)
-                .unwrap_or_else(|e| {
-                    eprintln!("ledger: nonce floor lookup failed: {e}");
-                    None
-                })
+                .lookup(author, self.finalized_height)?
                 .unwrap_or(0),
             None => 0,
         };
-        mutable.max(staged).max(floor)
+        Ok(mutable.max(staged).max(floor))
     }
 
     /// Locate a canonical transaction: `(containing block hash, position)`.
     ///
     /// Two-tier lookup: the mutable index covers the non-finalized suffix,
-    /// the durable [`TxIndex`] (when attached) covers finalized history.
+    /// the durable [`TxIndex`] (on a durable chain) covers finalized history.
     /// An unreadable durable index reads as absent here, matching
     /// [`BlockStore::get`]'s `Option` contract; error-aware callers use
     /// [`Chain::try_tx_by_id`].
@@ -1732,8 +1558,8 @@ impl Chain {
         if let Some(loc) = self.index.tx_loc.get(id) {
             return Ok(Some(*loc));
         }
-        match &self.tx_index {
-            Some(ix) => ix.lookup(id),
+        match &self.tiers {
+            Some(tiers) => tiers.index.lookup(id),
             None => Ok(None),
         }
     }
@@ -1762,8 +1588,8 @@ impl Chain {
 
     /// [`Chain::txs_by_author`], surfacing durable-index read errors.
     pub fn try_txs_by_author(&self, author: &AccountId) -> std::io::Result<Vec<TxId>> {
-        let mut out = match &self.tx_index {
-            Some(ix) => ix.txs_by_author(author)?,
+        let mut out = match &self.tiers {
+            Some(tiers) => tiers.index.txs_by_author(author)?,
             None => Vec::new(),
         };
         if let Some(list) = self.index.by_author.get(author) {
@@ -1780,8 +1606,8 @@ impl Chain {
 
     /// [`Chain::txs_by_kind`], surfacing durable-index read errors.
     pub fn try_txs_by_kind(&self, kind: u16) -> std::io::Result<Vec<TxId>> {
-        let mut out = match &self.tx_index {
-            Some(ix) => ix.txs_by_kind(kind)?,
+        let mut out = match &self.tiers {
+            Some(tiers) => tiers.index.txs_by_kind(kind)?,
             None => Vec::new(),
         };
         if let Some(list) = self.index.by_kind.get(&kind) {
@@ -1804,8 +1630,9 @@ impl Chain {
         &self,
         kind: u16,
     ) -> std::io::Result<Vec<(TxId, BlockHash, u32)>> {
-        let mut out: Vec<(TxId, BlockHash, u32)> = match &self.tx_index {
-            Some(ix) => ix
+        let mut out: Vec<(TxId, BlockHash, u32)> = match &self.tiers {
+            Some(tiers) => tiers
+                .index
                 .entries_by_kind(kind)?
                 .into_iter()
                 .map(|e| (e.id, e.block, e.pos))
@@ -1822,48 +1649,42 @@ impl Chain {
     }
 
     /// Entries currently held in the mutable in-memory index — O(finality
-    /// window) when a durable index is attached, O(history) otherwise.
+    /// window) on a durable chain, O(history) in memory.
     pub fn resident_index_entries(&self) -> usize {
         self.index.resident_entries()
     }
 
-    /// The attached durable index tier, if any (stats and inspection).
+    /// The durable index tier of a durable chain (stats and inspection).
     pub fn tx_index(&self) -> Option<&TxIndex> {
-        self.tx_index.as_ref()
+        self.tiers.as_ref().map(|t| &t.index)
     }
 
-    /// Force staged durable-index entries onto disk (checkpoint/shutdown
-    /// hygiene; queries see staged entries either way).
-    pub fn sync_index(&mut self) -> std::io::Result<()> {
-        match &mut self.tx_index {
-            Some(ix) => {
-                ix.sync()?;
-                self.index_synced_height = self.finalized_height;
-                self.publish_read_state();
-                Ok(())
-            }
-            None => Ok(()),
+    /// Force staged durable-index entries onto disk (queries see staged
+    /// entries either way).
+    fn sync_index(&mut self) -> std::io::Result<()> {
+        if let Some(tiers) = &mut self.tiers {
+            tiers.index.sync()?;
+            self.index_synced_height = self.finalized_height;
         }
+        Ok(())
     }
 
-    /// The attached durable metadata tier, if any (stats and inspection).
+    /// The metadata tier of a durable chain (stats and inspection).
     pub fn meta_tier(&self) -> Option<&MetaStore> {
-        self.meta_tier.as_ref()
+        self.tiers.as_ref().map(|t| &t.meta)
     }
 
     /// Resident per-block chain metadata counts — bounded by O(finality
-    /// window + live forks) when the durable tiers are attached,
-    /// O(history) otherwise.
+    /// window + live forks) on a durable chain, O(history) in memory.
     pub fn resident_metadata(&self) -> ResidentMetadata {
         ResidentMetadata {
             meta: self.meta.len(),
             canonical: self.canonical.len(),
             next_nonce: self.index.next_nonce.len(),
             nonce_floor: self
-                .meta_tier
+                .tiers
                 .as_ref()
-                .map(|m| m.floors().staged_records())
-                .unwrap_or(0),
+                .map_or(0, |t| t.meta.floors().staged_records()),
             undo: self.undo.len(),
             at_height: self.at_height.values().map(Vec::len).sum(),
         }
@@ -1910,17 +1731,15 @@ impl Chain {
     /// reader-side `height <= finalized_height` filter trims a tier that
     /// ran ahead back to the snapshot's prefix.
     fn force_publish_read_state(&mut self) {
-        if let Some(ix) = &self.tx_index {
-            ix.publish();
-        }
-        if let Some(meta) = &mut self.meta_tier {
-            if let Err(e) = meta.height_map_mut().publish() {
+        if let Some(tiers) = &mut self.tiers {
+            tiers.index.publish();
+            if let Err(e) = tiers.meta.height_map_mut().publish() {
                 // Readers keep the previous height-map state; the writer
                 // hits (and surfaces) the same flush failure on its own
                 // next write barrier.
                 eprintln!("ledger: height map publish failed: {e}");
             }
-            meta.floors().publish();
+            tiers.meta.floors().publish();
         }
         self.read_shared.snapshot.store(Arc::new(ChainSnapshot {
             tip: self.tip,
@@ -1943,8 +1762,8 @@ impl Chain {
         self.flush_commits()?;
         self.sync_index()?;
         self.sync_floors()?;
-        if let Some(meta) = &mut self.meta_tier {
-            meta.height_map_mut().sync()?;
+        if let Some(tiers) = &mut self.tiers {
+            tiers.meta.height_map_mut().sync()?;
         }
         self.write_snapshot()?;
         self.publish_read_state();
@@ -1952,40 +1771,35 @@ impl Chain {
     }
 
     /// Force the floor store's staged tail into durable pages and advance
-    /// the floor durability watermark (no-op without a metadata tier).
+    /// the floor durability watermark (no-op in memory).
     fn sync_floors(&mut self) -> std::io::Result<()> {
-        if let Some(meta) = &mut self.meta_tier {
-            meta.floors_mut().sync()?;
+        if let Some(tiers) = &mut self.tiers {
+            tiers.meta.floors_mut().sync()?;
             self.floor_synced_height = self.finalized_height;
         }
         Ok(())
     }
 
     /// Write the checkpoint snapshot for the current finality state (no-op
-    /// without a metadata tier).
+    /// in memory).
     fn write_snapshot(&mut self) -> std::io::Result<()> {
-        if self.meta_tier.is_none() {
-            return Ok(());
-        }
         let cp_hash = self
             .suffix_hash(self.finalized_height)
             .expect("suffix covers the checkpoint");
-        let meta = self.meta_tier.as_mut().expect("checked above");
+        let Some(tiers) = &mut self.tiers else {
+            return Ok(());
+        };
         let snap = CheckpointSnapshot {
             version: SNAPSHOT_VERSION,
             height: self.finalized_height,
             hash: *cp_hash.0.as_bytes(),
-            index_watermarks: self
-                .tx_index
-                .as_ref()
-                .map(|ix| ix.partition_watermarks())
-                .unwrap_or_default(),
+            index_watermarks: tiers.index.partition_watermarks(),
             index_durable_height: self.index_synced_height,
-            floor_watermarks: meta.floors().partition_watermarks(),
+            floor_watermarks: tiers.meta.floors().partition_watermarks(),
             floor_durable_height: self.floor_synced_height,
-            height_map_len: meta.height_map().durable_len(),
+            height_map_len: tiers.meta.height_map().durable_len(),
         };
-        meta.write_snapshot(&snap)?;
+        tiers.meta.write_snapshot(&snap)?;
         // Recorded only on success: a failed write must not suppress the
         // next interval-driven attempt.
         self.last_snapshot_height = self.finalized_height;
@@ -2007,13 +1821,9 @@ impl Chain {
             Some(cp) => self.store.compact(&cp)?,
             None => CompactionStats::default(),
         };
-        if self.tx_index.is_some() {
-            self.sync_index()?;
-            let ix = self.tx_index.as_mut().expect("checked above");
-            let threshold = ix.config().merge_threshold;
-            ix.merge_pages(threshold)?;
-            self.resquare_height_map()?;
-            self.write_snapshot()?;
+        if let Some(tiers) = &self.tiers {
+            let threshold = tiers.index.config().merge_threshold;
+            self.merge_tier_pages(threshold)?;
         }
         self.publish_read_state();
         Ok(stats)
@@ -2023,34 +1833,31 @@ impl Chain {
     /// least `min_pages` pages (staged entries are synced first). Returns
     /// what was rewritten; query results are unchanged by construction.
     pub fn merge_index_pages(&mut self, min_pages: usize) -> std::io::Result<MergeStats> {
-        if self.tx_index.is_none() {
-            return Ok(MergeStats::default());
-        }
         self.flush_commits()?;
-        self.sync_index()?;
-        let stats = self
-            .tx_index
-            .as_mut()
-            .expect("checked above")
-            .merge_pages(min_pages)?;
-        self.resquare_height_map()?;
-        self.write_snapshot()?;
+        let stats = self.merge_tier_pages(min_pages)?;
         self.publish_read_state();
         Ok(stats)
     }
 
-    /// Maintenance rider for the height map: when a restart left short
-    /// pages behind, rewrite the map into uniform pages. Runs at the same
-    /// moments as index merges — the store is already paying a sequential
-    /// rewrite, so the map's (much smaller) one piggybacks on that budget.
-    fn resquare_height_map(&mut self) -> std::io::Result<()> {
-        if let Some(meta) = &mut self.meta_tier {
-            let map = meta.height_map_mut();
-            if !map.is_square() {
-                map.resquare()?;
-            }
+    /// Sync and merge the durable index, then write a snapshot recording
+    /// the new watermarks (no-op in memory).
+    ///
+    /// The height map rides along: when a restart left short pages behind
+    /// it is rewritten into uniform pages. The store is already paying a
+    /// sequential rewrite, so the map's (much smaller) one piggybacks on
+    /// that budget.
+    fn merge_tier_pages(&mut self, min_pages: usize) -> std::io::Result<MergeStats> {
+        self.sync_index()?;
+        let Some(tiers) = &mut self.tiers else {
+            return Ok(MergeStats::default());
+        };
+        let stats = tiers.index.merge_pages(min_pages)?;
+        let map = tiers.meta.height_map_mut();
+        if !map.is_square() {
+            map.resquare()?;
         }
-        Ok(())
+        self.write_snapshot()?;
+        Ok(stats)
     }
 
     /// Produce a self-contained inclusion proof for a canonical transaction.
@@ -2134,9 +1941,13 @@ impl Chain {
         if self.config.enforce_nonces && block.header.prev == self.tip {
             let mut expected: HashMap<AccountId, u64> = HashMap::new();
             for tx in &block.txs {
-                let e = expected
-                    .entry(tx.author)
-                    .or_insert_with(|| self.next_nonce(&tx.author));
+                let e = match expected.entry(tx.author) {
+                    Entry::Occupied(e) => e.into_mut(),
+                    Entry::Vacant(slot) => slot.insert(
+                        self.next_nonce_for(&tx.author)
+                            .map_err(|e| ValidationError::StoreIo(e.to_string()))?,
+                    ),
+                };
                 if tx.nonce != *e {
                     return Err(ValidationError::BadNonce {
                         author: tx.author,
@@ -2344,12 +2155,12 @@ impl Chain {
     /// become orphaned) and demoting finalized canonical blocks to the
     /// store's cold tier.
     ///
-    /// With a metadata tier attached this is also where the chain's
-    /// resident footprint is bounded: newly-final canonical hashes move to
-    /// the durable height map, the per-author nonce floor absorbs their
-    /// transactions' nonces, finalized `meta`/`canonical`/`next_nonce`
-    /// entries are pruned down to the suffix, and a checkpoint snapshot is
-    /// written atomically.
+    /// On a durable chain this is also where the chain's resident footprint
+    /// is bounded: newly-final index entries spill to the durable index,
+    /// canonical hashes move to the durable height map, the per-author
+    /// nonce floor absorbs their transactions' nonces, and finalized
+    /// `meta`/`canonical`/`next_nonce` entries are pruned down to the
+    /// suffix.
     fn advance_finality(&mut self) {
         let Some(depth) = self.config.finality_depth else {
             return;
@@ -2360,24 +2171,22 @@ impl Chain {
         }
         let old_fin = self.finalized_height;
         self.finalized_height = new_fin;
-        // Prune newly-final heights, spilling their index entries to the
-        // durable tier (when attached) so the mutable index keeps covering
-        // only the non-finalized suffix.
+        // Prune newly-final heights. A durable chain spills their index
+        // entries and nonce floors to the durable tiers, so the mutable
+        // index keeps covering only the non-finalized suffix.
         let mut spill: Vec<IndexEntry> = Vec::new();
         let mut floors: Vec<FloorEntry> = Vec::new();
         let mut orphan_frontier: HashSet<BlockHash> = HashSet::new();
-        let has_meta_tier = self.meta_tier.is_some();
         for h in (old_fin + 1)..=new_fin {
             let canon = self.suffix_hash(h).expect("suffix covers finalizing heights");
-            if let Some(undo) = self.undo.remove(&canon) {
-                if has_meta_tier {
+            let undo = self.undo.remove(&canon);
+            if let Some(tiers) = &mut self.tiers {
+                if let Some(undo) = undo {
                     floors.extend(undo.txs.iter().map(|u| FloorEntry {
                         author: u.author,
                         nonce: u.nonce + 1,
                         height: h,
                     }));
-                }
-                if self.tx_index.is_some() {
                     spill.extend(undo.txs.iter().enumerate().map(|(i, u)| IndexEntry {
                         id: u.id,
                         author: u.author,
@@ -2386,11 +2195,11 @@ impl Chain {
                         height: h,
                         pos: i as u32,
                     }));
-                    self.index.spill(canon, &undo, has_meta_tier);
+                    self.index.spill(canon, &undo);
                 }
-            }
-            if let Some(meta) = &mut self.meta_tier {
-                meta.height_map_mut()
+                tiers
+                    .meta
+                    .height_map_mut()
                     .push(h, canon)
                     .expect("height map append");
             }
@@ -2419,8 +2228,8 @@ impl Chain {
                 *slot = (e.nonce, e.height.max(slot.1));
             }
         }
-        if has_meta_tier {
-            // The durable tier now serves finalized heights: prune the
+        if self.tiers.is_some() {
+            // The durable tiers now serve finalized heights: prune the
             // in-memory prefix (fork-choice metadata, canonical hashes and
             // height buckets strictly below the new checkpoint).
             for h in self.canonical_base..new_fin {
@@ -2478,12 +2287,11 @@ impl Chain {
     /// missing tail from whatever block prefix landed.
     fn flush_commits(&mut self) -> std::io::Result<()> {
         self.store.flush_staged()?;
+        let Some(tiers) = &mut self.tiers else {
+            return Ok(());
+        };
         if !self.staged_spill.is_empty() {
-            let spill = std::mem::take(&mut self.staged_spill);
-            self.tx_index
-                .as_mut()
-                .expect("spill staged only with an index")
-                .append(spill)?;
+            tiers.index.append(std::mem::take(&mut self.staged_spill))?;
         }
         if !self.staged_floors.is_empty() {
             let floors: Vec<FloorEntry> = self
@@ -2495,33 +2303,22 @@ impl Chain {
                     height,
                 })
                 .collect();
-            self.meta_tier
-                .as_mut()
-                .expect("floors staged only with a meta tier")
-                .floors_mut()
-                .append(floors)?;
+            tiers.meta.floors_mut().append(floors)?;
         }
-        if let Some(meta) = &mut self.meta_tier {
-            meta.height_map_mut().flush_pages()?;
+        tiers.meta.height_map_mut().flush_pages()?;
+        // Bound crash recovery: periodically force the staged tier tails
+        // into durable pages so the snapshot's durable heights keep up
+        // with the checkpoint. Evaluated once per batch, not per advance.
+        let config = *tiers.meta.config();
+        let fin = self.finalized_height;
+        if fin.saturating_sub(self.index_synced_height) >= config.index_sync_interval {
+            self.sync_index()?;
         }
-        if self.meta_tier.is_some() {
-            // Bound crash recovery: periodically force the staged tier
-            // tails into durable pages so the snapshot's durable heights
-            // keep up with the checkpoint. Same cadence as before group
-            // commit, evaluated once per batch instead of per advance.
-            let config = *self.meta_tier.as_ref().expect("checked above").config();
-            let fin = self.finalized_height;
-            if self.tx_index.is_some()
-                && fin.saturating_sub(self.index_synced_height) >= config.index_sync_interval
-            {
-                self.sync_index()?;
-            }
-            if fin.saturating_sub(self.floor_synced_height) >= config.index_sync_interval {
-                self.sync_floors()?;
-            }
-            if fin.saturating_sub(self.last_snapshot_height) >= config.snapshot_interval.max(1) {
-                self.write_snapshot()?;
-            }
+        if fin.saturating_sub(self.floor_synced_height) >= config.index_sync_interval {
+            self.sync_floors()?;
+        }
+        if fin.saturating_sub(self.last_snapshot_height) >= config.snapshot_interval.max(1) {
+            self.write_snapshot()?;
         }
         Ok(())
     }
@@ -2572,8 +2369,8 @@ impl Chain {
     /// the invariant the incremental undo/redo (and finality spill)
     /// machinery must preserve across any fork/reorg/finality sequence.
     ///
-    /// Without a durable index this is a structural equality check; with
-    /// one, the *merged* two-tier query results are compared against the
+    /// In memory this is a structural equality check; on a durable chain
+    /// the *merged* two-tier query results are compared against the
     /// rebuild, entry by entry.
     pub fn index_consistent(&self) -> bool {
         let mut rebuilt = ChainIndex::default();
@@ -2584,13 +2381,13 @@ impl Chain {
             };
             rebuilt.absorb(&block);
         }
-        if self.tx_index.is_none() && self.meta_tier.is_none() {
+        if self.tiers.is_none() {
             return rebuilt == self.index;
         }
         // Nonces: the merged two-tier view must equal the full-history
         // rebuild, and neither resident tier may exceed it (no phantoms).
         for (author, expect) in &rebuilt.next_nonce {
-            if self.next_nonce_for(author) != *expect {
+            if self.next_nonce_for(author).ok() != Some(*expect) {
                 return false;
             }
         }
@@ -2598,13 +2395,6 @@ impl Chain {
             if rebuilt.next_nonce.get(author).map_or(true, |r| r < n) {
                 return false;
             }
-        }
-        if self.tx_index.is_none() {
-            // Metadata tier only: the mutable tx indexes still cover all of
-            // history and must match the rebuild structurally.
-            return rebuilt.tx_loc == self.index.tx_loc
-                && rebuilt.by_author == self.index.by_author
-                && rebuilt.by_kind == self.index.by_kind;
         }
         // Every canonical location resolves through the merged lookup, and
         // the mutable tier holds no phantom entries.
@@ -2645,10 +2435,9 @@ impl Chain {
 
     /// Iterate canonical block hashes from genesis to tip.
     ///
-    /// Owned values: finalized heights resolve through the durable height
-    /// map when a metadata tier is attached (panicking on an unreadable
-    /// tier, like the store-backed accessors' `expect`s), the suffix from
-    /// memory.
+    /// Owned values: on a durable chain finalized heights resolve through
+    /// the height map (panicking on an unreadable tier, like the
+    /// store-backed accessors' `expect`s), the suffix from memory.
     pub fn canonical_hashes(&self) -> impl Iterator<Item = BlockHash> + '_ {
         (0..=self.height()).map(move |h| {
             self.hash_at(h)
@@ -2686,7 +2475,7 @@ impl Drop for Chain {
         // staged tails and writes a current snapshot, so the next open
         // fast-starts with nothing to heal. Everything here is re-derived
         // from blocks after a hard crash, so failures are ignorable.
-        if self.meta_tier.is_some() {
+        if self.tiers.is_some() {
             let _ = self.sync_meta();
         }
     }
@@ -2740,7 +2529,7 @@ mod tests {
         );
         assert_eq!(c.txs_by_author(&AccountId::from_name("alice")).len(), 2);
         assert_eq!(c.txs_by_kind(1).len(), 3);
-        assert_eq!(c.next_nonce(&AccountId::from_name("alice")), 2);
+        assert_eq!(c.next_nonce_for(&AccountId::from_name("alice")).unwrap(), 2);
     }
 
     #[test]
@@ -2918,7 +2707,7 @@ mod tests {
         assert_eq!(c.height(), 4);
         assert!(c.index_consistent());
         assert_eq!(c.txs_by_author(&AccountId::from_name("a")).len(), 4);
-        assert_eq!(c.next_nonce(&AccountId::from_name("a")), 4);
+        assert_eq!(c.next_nonce_for(&AccountId::from_name("a")).unwrap(), 4);
         assert!(c.txs_by_author(&AccountId::from_name("r")).is_empty());
     }
 
@@ -3102,6 +2891,13 @@ mod tests {
         (index, meta)
     }
 
+    /// Open a durable chain over `store`, with the index and metadata
+    /// tiers under `dir`.
+    fn durable_chain(dir: &std::path::Path, store: Box<dyn BlockStore>, config: ChainConfig) -> Chain {
+        let (index, meta) = small_tiers(dir);
+        Chain::replay_with_tiers(store, Some(index), meta, config).unwrap()
+    }
+
     fn durable_store(dir: &std::path::Path) -> Box<dyn BlockStore> {
         Box::new(
             crate::segment::TieredStore::open(
@@ -3118,12 +2914,10 @@ mod tests {
     #[test]
     fn meta_tier_prunes_resident_metadata_and_serves_two_tier_lookups() {
         let dir = temp_dir("prune");
-        let (index, meta) = small_tiers(&dir);
         let depth = 3u64;
-        let mut c = Chain::with_tiers(
+        let mut c = durable_chain(
+            &dir,
             Box::new(MemStore::new()),
-            Some(index),
-            meta,
             ChainConfig {
                 finality_depth: Some(depth),
                 ..ChainConfig::default()
@@ -3153,8 +2947,8 @@ mod tests {
         }
         assert_eq!(c.hash_at(31), None);
         // …nonces merge the durable floor with the mutable suffix…
-        assert_eq!(c.next_nonce_for(&AccountId::from_name("alice")), 15);
-        assert_eq!(c.next_nonce_for(&AccountId::from_name("bob")), 15);
+        assert_eq!(c.next_nonce_for(&AccountId::from_name("alice")).unwrap(), 15);
+        assert_eq!(c.next_nonce_for(&AccountId::from_name("bob")).unwrap(), 15);
         // …and the audit walks still pass over both tiers.
         assert!(c.index_consistent());
         c.verify_integrity().unwrap();
@@ -3171,8 +2965,7 @@ mod tests {
         };
         let alice = AccountId::from_name("alice");
         let (tip, height, hashes) = {
-            let (index, meta) = small_tiers(&dir);
-            let mut c = Chain::with_tiers(durable_store(&dir), Some(index), meta, config.clone());
+            let mut c = durable_chain(&dir, durable_store(&dir), config.clone());
             let mut hashes = vec![c.genesis()];
             for i in 0..40 {
                 hashes.push(seal(&mut c, vec![tx("alice", i)]));
@@ -3181,8 +2974,7 @@ mod tests {
             (c.tip(), c.height(), hashes)
         };
 
-        let (index, meta) = small_tiers(&dir);
-        let c = Chain::replay_with_tiers(durable_store(&dir), Some(index), meta, config).unwrap();
+        let c = durable_chain(&dir, durable_store(&dir), config);
         assert_eq!(c.tip(), tip);
         assert_eq!(c.height(), height);
         // Only the non-finalized suffix was re-validated.
@@ -3194,7 +2986,7 @@ mod tests {
         for (h, hash) in hashes.iter().enumerate() {
             assert_eq!(c.hash_at(h as u64), Some(*hash), "height {h}");
         }
-        assert_eq!(c.next_nonce_for(&alice), 40);
+        assert_eq!(c.next_nonce_for(&alice).unwrap(), 40);
         assert!(c.index_consistent());
         c.verify_integrity().unwrap();
         // The suffix keeps extending normally after a fast start.
@@ -3206,9 +2998,72 @@ mod tests {
     }
 
     #[test]
+    fn unreadable_nonce_floor_fails_validation_closed() {
+        let dir = temp_dir("floor-io");
+        let config = ChainConfig {
+            finality_depth: Some(2),
+            enforce_nonces: true,
+            ..ChainConfig::default()
+        };
+        {
+            let mut c = durable_chain(&dir, durable_store(&dir), config.clone());
+            seal(&mut c, vec![tx("alice", 0), tx("alice", 1)]);
+            // Empty blocks finalize alice's block; the reopen below then
+            // replays a suffix that never reads her floor page.
+            for _ in 0..4 {
+                seal(&mut c, vec![]);
+            }
+            assert!(c.finalized_height() > 1, "alice's block must be final");
+            c.sync_meta().unwrap();
+        }
+        let mut c = durable_chain(&dir, durable_store(&dir), config);
+        for entry in std::fs::read_dir(dir.join("meta")).unwrap() {
+            let path = entry.unwrap().path();
+            if path.extension().is_some_and(|e| e == "pages") {
+                std::fs::OpenOptions::new()
+                    .write(true)
+                    .open(&path)
+                    .unwrap()
+                    .set_len(0)
+                    .unwrap();
+            }
+        }
+        let next = c.assemble_next(
+            c.tip_header().timestamp_ms + 1000,
+            AccountId::from_name("sealer"),
+            0,
+            vec![tx("alice", 2)],
+        );
+        assert!(
+            matches!(c.append(next), Err(ValidationError::StoreIo(_))),
+            "an unreadable floor page must fail validation, not read as floor 0"
+        );
+        drop(c);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn durable_open_without_index_is_rejected() {
+        let dir = temp_dir("no-index");
+        let (_, meta) = small_tiers(&dir);
+        let err = match Chain::replay_with_tiers(
+            Box::new(MemStore::new()),
+            None,
+            meta,
+            ChainConfig::default(),
+        ) {
+            Err(e) => e,
+            Ok(_) => panic!("a durable chain without its index tier must not open"),
+        };
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn replay_reconstructs_chain_from_store_scan() {
         // Build a chain with a fork and a reorg over a MemStore, then replay
-        // an identical history into a fresh chain and compare.
+        // an identical history with empty tiers (no snapshot: a full scan)
+        // and compare.
         let mut c = chain();
         let t0 = tx("alice", 0);
         let id0 = t0.id();
@@ -3233,7 +3088,8 @@ mod tests {
         for b in &blocks {
             store.put((**b).clone()).unwrap();
         }
-        let replayed = Chain::replay(Box::new(store), ChainConfig::default()).unwrap();
+        let dir = temp_dir("replay-scan");
+        let replayed = durable_chain(&dir, Box::new(store), ChainConfig::default());
         assert_eq!(replayed.tip(), c.tip());
         assert_eq!(replayed.height(), c.height());
         assert_eq!(
@@ -3246,23 +3102,23 @@ mod tests {
             replayed.txs_by_author(&AccountId::from_name("r")).len(),
             2
         );
+        drop(replayed);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn reader_tracks_commits_and_matches_writer_queries() {
         let dir = temp_dir("reader");
-        let (index, meta) = small_tiers(&dir);
-        let mut c = Chain::with_tiers(
+        let mut c = durable_chain(
+            &dir,
             Box::new(MemStore::new()),
-            Some(index),
-            meta,
             ChainConfig {
                 finality_depth: Some(3),
                 ..ChainConfig::default()
             },
         );
         let reader = c.reader();
-        assert_eq!(reader.tip(), c.genesis());
+        assert_eq!(reader.view().tip(), c.genesis());
         let mut hashes = vec![c.genesis()];
         for i in 0..30 {
             let author = ["alice", "bob"][(i % 2) as usize];
@@ -3270,22 +3126,23 @@ mod tests {
         }
         // Every commit re-published: the reader's view matches the writer
         // across both tiers.
-        assert_eq!(reader.tip(), c.tip());
-        assert_eq!(reader.height(), 30);
-        assert_eq!(reader.finalized_height(), 27);
+        let view = reader.view();
+        assert_eq!(view.tip(), c.tip());
+        assert_eq!(view.height(), 30);
+        assert_eq!(view.finalized_height(), 27);
         for (h, hash) in hashes.iter().enumerate() {
-            assert_eq!(reader.hash_at(h as u64), Some(*hash), "height {h}");
-            assert!(reader.is_canonical(hash), "height {h} canonical");
-            assert_eq!(reader.block_at(h as u64).unwrap().hash(), *hash);
+            assert_eq!(view.hash_at(h as u64), Some(*hash), "height {h}");
+            assert!(view.is_canonical(hash), "height {h} canonical");
+            assert_eq!(view.block_at(h as u64).unwrap().hash(), *hash);
         }
-        assert_eq!(reader.hash_at(31), None);
+        assert_eq!(view.hash_at(31), None);
         let alice = AccountId::from_name("alice");
-        assert_eq!(reader.next_nonce_for(&alice), c.next_nonce_for(&alice));
-        assert_eq!(reader.txs_by_author(&alice), c.txs_by_author(&alice));
-        assert_eq!(reader.txs_by_kind(1), c.txs_by_kind(1));
-        let some_id = reader.txs_by_author(&alice)[2];
-        assert_eq!(reader.tx_by_id(&some_id), c.tx_by_id(&some_id));
-        let proof = reader.prove_tx(&some_id).expect("proof through reader");
+        assert_eq!(view.next_nonce_for(&alice), c.next_nonce_for(&alice).unwrap());
+        assert_eq!(view.txs_by_author(&alice), c.txs_by_author(&alice));
+        assert_eq!(view.txs_by_kind(1), c.txs_by_kind(1));
+        let some_id = view.txs_by_author(&alice)[2];
+        assert_eq!(view.tx_by_id(&some_id), c.tx_by_id(&some_id));
+        let proof = view.prove_tx(&some_id).expect("proof through reader");
         assert!(proof.verify());
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -3317,6 +3174,6 @@ mod tests {
         drop(counted);
         seal(&mut c, vec![tx("a", 1)]);
         let reattached = c.reader();
-        assert_eq!(reattached.tip(), c.tip());
+        assert_eq!(reattached.view().tip(), c.tip());
     }
 }

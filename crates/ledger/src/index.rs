@@ -686,7 +686,7 @@ impl TxIndex {
     /// limit), with Bloom filters, kind masks and height fences rebuilt.
     ///
     /// The rewrite is a streaming k-way merge, not a materialize-and-sort:
-    /// every durable page is already an id-sorted run ([`Self::cut_page`]
+    /// every durable page is already an id-sorted run (`cut_page`
     /// sorts before writing, and merged pages are chunks of a sorted run),
     /// so a first pass records each page's id fences — coalescing adjacent
     /// pages that are already mutually ordered into single runs — and a

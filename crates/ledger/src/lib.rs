@@ -9,7 +9,7 @@
 //! The ledger is deliberately application-agnostic: a [`Transaction`] carries
 //! an opaque `kind` tag and payload, and upper layers (provenance records,
 //! smart-contract calls, cross-chain messages) define the semantics. This
-//! mirrors how ProvChain [47] rides on Bitcoin-style transactions and how
+//! mirrors how ProvChain \[47\] rides on Bitcoin-style transactions and how
 //! Fabric-based systems ride on endorsed key/value writes.
 
 pub mod block;
@@ -44,5 +44,5 @@ pub use readview::{Published, ShardedCache};
 pub use segment::{
     SegmentConfig, SegmentReader, SegmentStore, TieredConfig, TieredReader, TieredStore,
 };
-pub use store::{BlockReader, BlockStore, CompactionStats, FileStore, MemReader, MemStore};
+pub use store::{BlockReader, BlockStore, CompactionStats, MemReader, MemStore};
 pub use tx::{AccountId, SignatureEnvelope, Transaction, TxId};

@@ -1,4 +1,4 @@
-//! Tier-directory manifests: the commit protocol over [`wire_manifest`].
+//! Tier-directory manifests: the commit protocol over [`blockprov_wire::manifest`].
 //!
 //! Each storage-tier directory (block segments, and in time any paged
 //! index) may carry a `MANIFEST` file naming its live files with height

@@ -731,10 +731,9 @@ impl SegmentStore {
     /// Returns the segment's info (length, fence, block count).
     ///
     /// Any malformed byte — a corrupt header, an undecodable block, a torn
-    /// trailing frame — fails loudly rather than being silently truncated,
-    /// matching [`crate::store::FileStore`]'s contract: without per-frame
-    /// checksums a torn tail write is indistinguishable from tampering,
-    /// and this is first a tamper-evidence substrate.
+    /// trailing frame — fails loudly rather than being silently truncated:
+    /// without per-frame checksums a torn tail write is indistinguishable
+    /// from tampering, and this is first a tamper-evidence substrate.
     fn scan_segment(
         path: &Path,
         expect_id: u32,
@@ -1004,10 +1003,11 @@ impl SegmentStore {
     /// checkpoint block. Compacting the active segment matters for
     /// correctness, not just space: dropping a sealed fork parent while its
     /// child lingered in an exempt active segment would orphan the child,
-    /// and a later [`crate::chain::Chain::replay`] of the store would fail
-    /// on the dangling parent reference. Pass 2: survivors of the segments
-    /// that lost blocks are *streamed into packed segments under fresh
-    /// ids* (clean segments keep their files untouched), a fresh empty
+    /// and a later full replay ([`crate::chain::Chain::replay_with_tiers`])
+    /// of the store would fail on the dangling parent reference. Pass 2:
+    /// survivors of the segments that lost blocks are *streamed into
+    /// packed segments under fresh ids* (clean segments keep their files
+    /// untouched), a fresh empty
     /// active segment is created, and a manifest listing exactly the clean
     /// + packed + active files is committed under the next epoch; only then
     /// are the dirty old files unlinked. A crash before the commit leaves
@@ -1336,8 +1336,8 @@ impl BlockStore for SegmentStore {
         self.shared.index_len() + pending as usize + self.pending_locs.len()
     }
 
-    fn reader(&self) -> Option<Arc<dyn BlockReader>> {
-        Some(Arc::new(self.reader()))
+    fn reader(&self) -> Arc<dyn BlockReader> {
+        Arc::new(self.reader())
     }
 
     fn stored_bytes(&self) -> u64 {
@@ -1632,8 +1632,8 @@ impl BlockStore for TieredStore {
         Ok(stats)
     }
 
-    fn reader(&self) -> Option<Arc<dyn BlockReader>> {
-        Some(Arc::new(self.tiered_reader()))
+    fn reader(&self) -> Arc<dyn BlockReader> {
+        Arc::new(self.tiered_reader())
     }
 
     fn scan(&self, visit: &mut dyn FnMut(Arc<Block>)) -> io::Result<()> {

@@ -2,11 +2,14 @@
 //!
 //! Build competing forks over a tiered segment store, let checkpoint
 //! finality pick a winner, compact — then prove bytes were reclaimed, every
-//! canonical block is still readable, and a [`Chain::replay`] from the
-//! compacted store reproduces the same tip and indexes.
+//! canonical block is still readable, and a full replay of the compacted
+//! store (a [`Chain::replay_with_tiers`] open over empty index and
+//! metadata tiers) reproduces the same tip and indexes.
 
 use blockprov_ledger::block::{Block, BlockHash};
 use blockprov_ledger::chain::{Chain, ChainConfig};
+use blockprov_ledger::index::{TxIndex, TxIndexConfig};
+use blockprov_ledger::meta::{MetaConfig, MetaStore};
 use blockprov_ledger::segment::{SegmentConfig, TieredConfig, TieredStore};
 use blockprov_ledger::tx::{AccountId, Transaction};
 
@@ -44,6 +47,32 @@ fn store(dir: &std::path::Path) -> Box<TieredStore> {
     )
 }
 
+/// Open a chain over the segments in `dir`, with its index and metadata
+/// tiers in `dir/tiers`.
+fn open(dir: &std::path::Path, config: ChainConfig) -> Chain {
+    let tiers = dir.join("tiers");
+    let index_config = TxIndexConfig {
+        partitions: 4,
+        page_entries: 8,
+        cached_pages: 8,
+        ..TxIndexConfig::default()
+    };
+    Chain::replay_with_tiers(
+        store(dir),
+        Some(TxIndex::open(tiers.join("index"), index_config).unwrap()),
+        MetaStore::open(tiers.join("meta"), MetaConfig::default()).unwrap(),
+        config,
+    )
+    .unwrap()
+}
+
+/// [`open`] over emptied tiers: no snapshot exists, so the open scans and
+/// replays every stored block.
+fn replay(dir: &std::path::Path, config: ChainConfig) -> Chain {
+    let _ = std::fs::remove_dir_all(dir.join("tiers"));
+    open(dir, config)
+}
+
 /// Grow a chain with a stale fork block beside every canonical block, until
 /// finality has passed all the fork heights.
 fn build_forked_chain(dir: &std::path::Path) -> (Chain, Vec<BlockHash>) {
@@ -51,7 +80,7 @@ fn build_forked_chain(dir: &std::path::Path) -> (Chain, Vec<BlockHash>) {
         finality_depth: Some(2),
         ..ChainConfig::default()
     };
-    let mut chain = Chain::with_store(store(dir), config);
+    let mut chain = open(dir, config);
     let mut fork_hashes = Vec::new();
     for i in 0..20u64 {
         let parent = chain.tip();
@@ -108,6 +137,7 @@ fn compaction_reclaims_fork_bytes_and_preserves_canonical_history() {
     assert_eq!(dropped as u64, stats.blocks_dropped);
     assert!(dropped > 0);
 
+    drop(chain);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -128,7 +158,7 @@ fn replay_from_compacted_store_reproduces_tip_and_indexes() {
         finality_depth: Some(2),
         ..ChainConfig::default()
     };
-    let replayed = Chain::replay(store(&dir), config).unwrap();
+    let replayed = replay(&dir, config);
     assert_eq!(replayed.tip(), tip);
     assert_eq!(replayed.height(), height);
     assert_eq!(
@@ -140,6 +170,7 @@ fn replay_from_compacted_store_reproduces_tip_and_indexes() {
     assert_eq!(replayed.txs_by_kind(1), kind_ids);
     replayed.verify_integrity().unwrap();
 
+    drop(replayed);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -148,14 +179,14 @@ fn compaction_never_orphans_a_fork_child_in_the_active_segment() {
     // Regression: a sealed fork parent D is dropped (stale at/below the
     // checkpoint) while its child E sits in the *active* segment. If the
     // active segment were exempt from compaction, E would survive with a
-    // dangling parent reference and `Chain::replay` of the compacted store
+    // dangling parent reference and a full replay of the compacted store
     // would hard-fail with UnknownParent.
     let dir = temp_dir("orphan");
     let config = ChainConfig {
         finality_depth: Some(2),
         ..ChainConfig::default()
     };
-    let mut chain = Chain::with_store(store(&dir), config.clone());
+    let mut chain = open(&dir, config.clone());
     for i in 0..5u64 {
         let ts = chain.tip_header().timestamp_ms + 10;
         let canon = chain.assemble_next(ts, AccountId::from_name("sealer"), 0, vec![tx("a", i)]);
@@ -203,9 +234,10 @@ fn compaction_never_orphans_a_fork_child_in_the_active_segment() {
     drop(chain);
 
     // The compacted store replays cleanly — no dangling parent.
-    let replayed = Chain::replay(store(&dir), config).unwrap();
+    let replayed = replay(&dir, config);
     assert_eq!(replayed.tip(), tip);
     assert!(replayed.index_consistent());
+    drop(replayed);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -228,45 +260,18 @@ fn compaction_is_idempotent() {
     chain.verify_integrity().unwrap();
     assert!(chain.index_consistent());
 
+    drop(chain);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
-fn compaction_with_tx_index_keeps_two_tier_queries_intact() {
+fn compaction_keeps_two_tier_queries_intact_across_restart() {
     let dir = temp_dir("with-index");
-    use blockprov_ledger::index::{TxIndex, TxIndexConfig};
-    let index_config = TxIndexConfig {
-        partitions: 4,
-        page_entries: 8,
-        cached_pages: 8,
-        ..TxIndexConfig::default()
-    };
     let config = ChainConfig {
         finality_depth: Some(2),
         ..ChainConfig::default()
     };
-    let mut chain = Chain::with_store_and_index(
-        store(&dir),
-        TxIndex::open(dir.join("txindex"), index_config).unwrap(),
-        config.clone(),
-    );
-    for i in 0..20u64 {
-        let parent = chain.tip();
-        let height = chain.height() + 1;
-        let ts = chain.tip_header().timestamp_ms + 10;
-        let canon =
-            chain.assemble_next(ts, AccountId::from_name("sealer"), 0, vec![tx("a", i)]);
-        chain.append(canon).unwrap();
-        let rival = Block::assemble(
-            height,
-            parent,
-            ts,
-            AccountId::from_name("rival"),
-            0,
-            vec![tx("rival", i)],
-        );
-        chain.append(rival).unwrap();
-    }
+    let (mut chain, _) = build_forked_chain(&dir);
     let stats = chain.compact().unwrap();
     assert!(stats.bytes_reclaimed > 0);
     // The durable index only ever holds canonical-final entries, so
@@ -274,16 +279,13 @@ fn compaction_with_tx_index_keeps_two_tier_queries_intact() {
     // a from-scratch rebuild.
     assert!(chain.index_consistent());
     assert_eq!(chain.txs_by_author(&AccountId::from_name("a")).len(), 20);
-    // And a replay over both durable tiers lands in the same place.
+    // And a restart from the snapshot the compaction wrote lands in the
+    // same place.
     let tip = chain.tip();
     drop(chain);
-    let replayed = Chain::replay_with_index(
-        store(&dir),
-        TxIndex::open(dir.join("txindex"), index_config).unwrap(),
-        config,
-    )
-    .unwrap();
-    assert_eq!(replayed.tip(), tip);
-    assert!(replayed.index_consistent());
+    let resumed = open(&dir, config);
+    assert_eq!(resumed.tip(), tip);
+    assert!(resumed.index_consistent());
+    drop(resumed);
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -99,13 +99,28 @@ fn small_meta(dir: &Path) -> MetaStore {
     .unwrap()
 }
 
+/// Open a chain over the segments in `dir` with emptied index and metadata
+/// tiers in `dir/tiers`. No snapshot exists, so the open scans and replays
+/// every stored block: the full-replay path the segment windows exercise.
+fn replay_segments(dir: &Path, config: ChainConfig) -> Chain {
+    let tiers = dir.join("tiers");
+    let _ = std::fs::remove_dir_all(&tiers);
+    Chain::replay_with_tiers(
+        tiered(dir),
+        Some(small_index(&tiers.join("index"))),
+        small_meta(&tiers.join("meta")),
+        config,
+    )
+    .unwrap()
+}
+
 /// Grow a finality chain with a stale fork beside every canonical block.
 fn build_forky_segments(dir: &Path) -> (BlockHash, u64) {
     let config = ChainConfig {
         finality_depth: Some(2),
         ..ChainConfig::default()
     };
-    let mut chain = Chain::with_store(tiered(dir), config);
+    let mut chain = replay_segments(dir, config);
     for i in 0..20u64 {
         let parent = chain.tip();
         let height = chain.height() + 1;
@@ -150,7 +165,7 @@ fn crash_around_compaction_manifest_commit_reopens_consistently() {
             finality_depth: Some(2),
             ..ChainConfig::default()
         };
-        let mut chain = Chain::replay(tiered(&full), config).unwrap();
+        let mut chain = replay_segments(&full, config);
         chain.compact().unwrap()
     };
     assert!(full_stats.segments_rewritten >= 2, "need a multi-segment rewrite");
@@ -173,7 +188,7 @@ fn crash_around_compaction_manifest_commit_reopens_consistently() {
             finality_depth: Some(2),
             ..ChainConfig::default()
         };
-        let mut chain = Chain::replay(tiered(&crash_a), config).unwrap();
+        let mut chain = replay_segments(&crash_a, config);
         for name in &packed {
             assert!(!crash_a.join(name).exists(), "stray packed segment {name} must be GC'd");
         }
@@ -197,7 +212,7 @@ fn crash_around_compaction_manifest_commit_reopens_consistently() {
             finality_depth: Some(2),
             ..ChainConfig::default()
         };
-        let mut chain = Chain::replay(tiered(&crash_b), config).unwrap();
+        let mut chain = replay_segments(&crash_b, config);
         for name in &superseded {
             assert!(!crash_b.join(name).exists(), "superseded segment {name} must be GC'd");
         }
@@ -226,7 +241,7 @@ fn stray_manifest_tmp_removed_on_reopen() {
         finality_depth: Some(2),
         ..ChainConfig::default()
     };
-    let chain = Chain::replay(tiered(&dir), config).unwrap();
+    let chain = replay_segments(&dir, config);
     assert!(!dir.join("MANIFEST.tmp").exists(), "stray tmp must be removed");
     assert_eq!(chain.tip(), tip);
     assert_eq!(chain.height(), height);
@@ -261,7 +276,7 @@ fn stale_manifest_garbage_collects_orphan_segments() {
             finality_depth: Some(2),
             ..ChainConfig::default()
         };
-        let mut chain = Chain::replay(tiered(&dir), config).unwrap();
+        let mut chain = replay_segments(&dir, config);
         for i in 20..40u64 {
             let ts = chain.tip_header().timestamp_ms + 10;
             let block = chain.assemble_next(ts, AccountId::from_name("sealer"), 0, vec![tx("a", i)]);
@@ -297,7 +312,7 @@ fn corrupt_manifest_falls_back_to_full_scan() {
         finality_depth: Some(2),
         ..ChainConfig::default()
     };
-    let chain = Chain::replay(tiered(&dir), config).unwrap();
+    let chain = replay_segments(&dir, config);
     assert_eq!(chain.tip(), tip);
     assert_eq!(chain.height(), height);
     chain.verify_integrity().unwrap();
@@ -314,16 +329,7 @@ fn corrupt_manifest_falls_back_to_full_scan() {
 
 /// Build a three-tier chain, returning (tip, height, expected alice nonce).
 fn build_tiered_chain(dir: &Path, blocks: u64, sync: bool) -> (BlockHash, u64, u64) {
-    let config = ChainConfig {
-        finality_depth: Some(3),
-        ..ChainConfig::default()
-    };
-    let mut chain = Chain::with_tiers(
-        tiered(&dir.join("blocks")),
-        Some(small_index(&dir.join("txindex"))),
-        small_meta(&dir.join("meta")),
-        config,
-    );
+    let mut chain = reopen(dir).unwrap();
     for i in 0..blocks {
         let ts = chain.tip_header().timestamp_ms + 10;
         let block = chain.assemble_next(ts, AccountId::from_name("sealer"), 0, vec![tx("alice", i)]);
@@ -369,7 +375,7 @@ fn torn_height_map_tail_self_heals_on_reopen() {
     let chain = reopen(&dir).unwrap();
     assert_eq!(chain.tip(), tip);
     assert_eq!(chain.height(), height);
-    assert_eq!(chain.next_nonce_for(&AccountId::from_name("alice")), nonce);
+    assert_eq!(chain.next_nonce_for(&AccountId::from_name("alice")).unwrap(), nonce);
     chain.verify_integrity().unwrap();
     assert!(chain.index_consistent());
     std::fs::remove_dir_all(&dir).unwrap();
@@ -386,7 +392,7 @@ fn lost_staged_tails_heal_from_blocks_on_reopen() {
     let chain = reopen(&dir).unwrap();
     assert_eq!(chain.tip(), tip);
     assert_eq!(chain.height(), height);
-    assert_eq!(chain.next_nonce_for(&AccountId::from_name("alice")), nonce);
+    assert_eq!(chain.next_nonce_for(&AccountId::from_name("alice")).unwrap(), nonce);
     for h in 0..=height {
         assert!(chain.hash_at(h).is_some(), "height {h} resolves after heal");
     }
@@ -446,12 +452,7 @@ fn group_flush_window_blocks_ahead_of_tiers_heals_on_reopen() {
 
     // Consistent state after three full batches (24 blocks).
     {
-        let mut chain = Chain::with_tiers(
-            tiered(&dir.join("blocks")),
-            Some(small_index(&dir.join("txindex"))),
-            small_meta(&dir.join("meta")),
-            config.clone(),
-        );
+        let mut chain = reopen(&dir).unwrap();
         for batch in stream[..24].chunks(8) {
             chain.append_batch(batch.to_vec()).unwrap();
         }
@@ -468,7 +469,7 @@ fn group_flush_window_blocks_ahead_of_tiers_heals_on_reopen() {
         (
             chain.tip(),
             chain.height(),
-            chain.next_nonce_for(&AccountId::from_name("alice")),
+            chain.next_nonce_for(&AccountId::from_name("alice")).unwrap(),
         )
     };
 
@@ -481,7 +482,7 @@ fn group_flush_window_blocks_ahead_of_tiers_heals_on_reopen() {
     let chain = reopen(&crash).unwrap();
     assert_eq!(chain.tip(), tip);
     assert_eq!(chain.height(), height);
-    assert_eq!(chain.next_nonce_for(&AccountId::from_name("alice")), nonce);
+    assert_eq!(chain.next_nonce_for(&AccountId::from_name("alice")).unwrap(), nonce);
     for h in 0..=height {
         assert!(chain.hash_at(h).is_some(), "height {h} resolves after heal");
     }
@@ -519,12 +520,7 @@ fn mid_batch_error_flushes_committed_prefix_before_returning() {
     );
 
     let (prefix_tip, prefix_height) = {
-        let mut chain = Chain::with_tiers(
-            tiered(&dir.join("blocks")),
-            Some(small_index(&dir.join("txindex"))),
-            small_meta(&dir.join("meta")),
-            config.clone(),
-        );
+        let mut chain = reopen(&dir).unwrap();
         let err = chain.append_batch(batch).unwrap_err();
         assert_eq!(err.index, 6, "batch stops at the invalid block");
         assert_eq!(err.committed.len(), 6, "prefix/outcome mismatch");
@@ -546,7 +542,7 @@ fn mid_batch_error_flushes_committed_prefix_before_returning() {
     let mut chain = reopen(&dir).unwrap();
     assert_eq!(chain.tip(), prefix_tip);
     assert_eq!(chain.height(), prefix_height);
-    assert_eq!(chain.next_nonce_for(&AccountId::from_name("alice")), 6);
+    assert_eq!(chain.next_nonce_for(&AccountId::from_name("alice")).unwrap(), 6);
     chain.verify_integrity().unwrap();
     assert!(chain.index_consistent());
 

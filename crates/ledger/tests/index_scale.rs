@@ -1,7 +1,7 @@
 //! Acceptance: bounded resident *index* memory over unbounded history.
 //!
-//! Appending 100k single-transaction blocks through a tiered store plus a
-//! durable [`TxIndex`] with a small finality depth must keep the mutable
+//! Appending 100k single-transaction blocks through a durable chain (tiered
+//! store, [`TxIndex`], metadata tier) with a small finality depth must keep the mutable
 //! in-memory index sized O(non-finalized suffix) — not O(history) — while
 //! `tx_by_id` / `txs_by_author` / `txs_by_kind` return exactly what a
 //! from-scratch in-memory rebuild over the canonical chain would.
@@ -9,6 +9,7 @@
 use blockprov_ledger::block::BlockHash;
 use blockprov_ledger::chain::{Chain, ChainConfig};
 use blockprov_ledger::index::{TxIndex, TxIndexConfig};
+use blockprov_ledger::meta::{MetaConfig, MetaStore};
 use blockprov_ledger::segment::{SegmentConfig, TieredConfig, TieredStore};
 use blockprov_ledger::tx::{AccountId, Transaction, TxId};
 use std::collections::HashMap;
@@ -36,14 +37,17 @@ fn spilled_index_stays_bounded_and_matches_full_rebuild() {
     )
     .unwrap();
     let index = TxIndex::open(dir.join("txindex"), TxIndexConfig::default()).unwrap();
-    let mut chain = Chain::with_store_and_index(
+    let meta = MetaStore::open(dir.join("meta"), MetaConfig::default()).unwrap();
+    let mut chain = Chain::replay_with_tiers(
         Box::new(store),
-        index,
+        Some(index),
+        meta,
         ChainConfig {
             finality_depth: Some(FINALITY_DEPTH),
             ..ChainConfig::default()
         },
-    );
+    )
+    .unwrap();
 
     let sealer = AccountId::from_name("sealer");
     let mut nonces: HashMap<AccountId, u64> = HashMap::new();

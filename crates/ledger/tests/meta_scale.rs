@@ -58,7 +58,8 @@ fn config() -> ChainConfig {
 fn resident_metadata_stays_bounded_and_restart_is_suffix_sized() {
     let dir = std::env::temp_dir().join(format!("blockprov-meta-scale-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut chain = Chain::with_tiers(store(&dir), Some(index(&dir)), meta(&dir), config());
+    let mut chain =
+        Chain::replay_with_tiers(store(&dir), Some(index(&dir)), meta(&dir), config()).unwrap();
 
     let sealer = AccountId::from_name("sealer");
     let mut nonces: HashMap<AccountId, u64> = HashMap::new();
@@ -134,7 +135,7 @@ fn resident_metadata_stays_bounded_and_restart_is_suffix_sized() {
     // Two-tier nonces equal the rebuild.
     for name in AUTHORS {
         let author = AccountId::from_name(name);
-        assert_eq!(chain.next_nonce_for(&author), expected_nonce[&author], "{name}");
+        assert_eq!(chain.next_nonce_for(&author).unwrap(), expected_nonce[&author], "{name}");
     }
     // Tx queries (sampled point lookups + full secondary scans).
     for id in all_ids.iter().step_by(97) {
@@ -166,7 +167,7 @@ fn resident_metadata_stays_bounded_and_restart_is_suffix_sized() {
     }
     for name in AUTHORS {
         let author = AccountId::from_name(name);
-        assert_eq!(chain.next_nonce_for(&author), expected_nonce[&author]);
+        assert_eq!(chain.next_nonce_for(&author).unwrap(), expected_nonce[&author]);
         assert_eq!(chain.txs_by_author(&author), by_author[&author]);
     }
 

@@ -137,12 +137,14 @@ proptest! {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let index = TxIndex::open(
-            &dir,
+            dir.join("txindex"),
             TxIndexConfig { partitions: 4, page_entries: 4, cached_pages: 4, ..TxIndexConfig::default() },
         )
         .expect("open tx index");
+        let meta = MetaStore::open(dir.join("meta"), MetaConfig::default()).expect("open meta store");
         let config = ChainConfig { finality_depth: Some(depth), ..ChainConfig::default() };
-        let chain = Chain::with_store_and_index(Box::new(MemStore::new()), index, config);
+        let chain = Chain::replay_with_tiers(Box::new(MemStore::new()), Some(index), meta, config)
+            .expect("open tiers");
         let result = run_sequence_on(chain, &ops);
         let _ = std::fs::remove_dir_all(&dir);
         result?;
@@ -220,8 +222,8 @@ fn assert_two_tier_matches(chain: &Chain) -> Result<(), TestCaseError> {
     prop_assert_eq!(chain.hash_at(chain.height() + 1), None);
     for (author, expect) in &nonces {
         prop_assert_eq!(
-            chain.next_nonce_for(author),
-            *expect,
+            chain.next_nonce_for(author).ok(),
+            Some(*expect),
             "two-tier nonce diverged for {}",
             author
         );

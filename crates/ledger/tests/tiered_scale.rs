@@ -1,11 +1,13 @@
 //! Scale acceptance: bounded resident memory over unbounded history.
 //!
-//! Appending 100k blocks through a [`TieredStore`] with checkpoint finality
+//! Appending 100k blocks through a durable chain over a [`TieredStore`] with checkpoint finality
 //! must keep the chain's resident decoded-block count bounded by the hot
 //! cache capacity, while every historical block stays readable from the
 //! cold tier and inclusion proofs still verify.
 
 use blockprov_ledger::chain::{Chain, ChainConfig};
+use blockprov_ledger::index::{TxIndex, TxIndexConfig};
+use blockprov_ledger::meta::{MetaConfig, MetaStore};
 use blockprov_ledger::segment::{SegmentConfig, TieredConfig, TieredStore};
 use blockprov_ledger::tx::{AccountId, Transaction};
 
@@ -17,7 +19,7 @@ fn appending_100k_blocks_stays_within_hot_cache_bounds() {
     let dir = std::env::temp_dir().join(format!("blockprov-scale-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = TieredStore::open(
-        &dir,
+        dir.join("blocks"),
         TieredConfig {
             segment: SegmentConfig {
                 segment_bytes: 8 * 1024 * 1024,
@@ -26,13 +28,18 @@ fn appending_100k_blocks_stays_within_hot_cache_bounds() {
         },
     )
     .unwrap();
-    let mut chain = Chain::with_store(
+    let index = TxIndex::open(dir.join("txindex"), TxIndexConfig::default()).unwrap();
+    let meta = MetaStore::open(dir.join("meta"), MetaConfig::default()).unwrap();
+    let mut chain = Chain::replay_with_tiers(
         Box::new(store),
+        Some(index),
+        meta,
         ChainConfig {
             finality_depth: Some(64),
             ..ChainConfig::default()
         },
-    );
+    )
+    .unwrap();
 
     let sealer = AccountId::from_name("sealer");
     let mut max_resident = 0usize;

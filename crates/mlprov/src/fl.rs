@@ -1,5 +1,5 @@
 //! Blockchain-coordinated federated learning with reputation defence
-//! (Yang & Li [84], BlockDFL [62]).
+//! (Yang & Li \[84\], BlockDFL \[62\]).
 //!
 //! Model: workers hold local optima around a true global optimum (non-IID
 //! spread widens the per-worker offsets). Each round, every worker submits

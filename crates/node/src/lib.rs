@@ -28,7 +28,7 @@
 //! [`std::net`] threads, the same way the ledger hand-rolls its
 //! validation pool. [`server`] holds the threading model: exactly one
 //! writer thread owns the ledger, every read is answered from a cloneable
-//! [`blockprov_core::LedgerReader`] pinned view, and the two meet only at
+//! [`blockprov_ledger::ChainReader`] pinned view, and the two meet only at
 //! a bounded ingest queue. [`json`] is the tiny response serializer.
 //!
 //! See `docs/OPERATIONS.md` for the operator's handbook and the

@@ -1,6 +1,6 @@
 //! The node proper: one writer thread owning the [`ProvenanceLedger`], a
 //! bounded ingest queue in front of it, and an accept loop that serves
-//! every read from a cloneable [`LedgerReader`] — request threads never
+//! every read from a cloneable [`ChainReader`] — request threads never
 //! touch the writer.
 //!
 //! # Threading model
@@ -40,10 +40,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
-use blockprov_core::{txkind, CoreError, LedgerConfig, LedgerReader, ProvenanceLedger};
+use blockprov_core::{txkind, CoreError, LedgerConfig, ProvenanceLedger};
 use blockprov_health::metrics::NodeMetrics;
 use blockprov_ledger::{
-    Block, ChainView, MetaConfig, MetaStore, TieredConfig, TieredReader, TieredStore, TxId,
+    Block, ChainReader, ChainView, MetaConfig, MetaStore, TieredConfig, TieredReader, TieredStore, TxId,
     TxIndex, TxIndexConfig,
 };
 use blockprov_provenance::ProvenanceRecord;
@@ -91,7 +91,7 @@ struct IngestJob {
 
 /// State shared by the accept loop, every handler thread and [`Node`].
 struct Shared {
-    reader: LedgerReader,
+    reader: ChainReader,
     metrics: Arc<NodeMetrics>,
     /// `Some(sender)` while accepting ingest; `None` once draining.
     ingest: Mutex<Option<SyncSender<IngestJob>>>,
@@ -222,7 +222,7 @@ impl Node {
     }
 
     /// A fresh reader handle over the node's ledger.
-    pub fn reader(&self) -> LedgerReader {
+    pub fn reader(&self) -> ChainReader {
         self.shared.reader.clone()
     }
 
@@ -396,7 +396,7 @@ fn ingest(req: &Request, shared: &Shared) -> Response {
             200,
             Obj::new()
                 .num("committed", committed)
-                .num("height", shared.reader.height())
+                .num("height", shared.reader.view().height())
                 .build(),
         ),
         Ok(Err(msg)) => error_body(409, &msg),

@@ -19,7 +19,7 @@ use blockprov_core::{txkind, LedgerConfig, ProvenanceLedger};
 use blockprov_crypto::sha256::Hash256;
 use blockprov_ledger::{AccountId, Block, BlockHash};
 use blockprov_node::{Node, NodeConfig};
-use blockprov_wire::{encode_seq, Codec, Writer};
+use blockprov_wire::{encode_seq, Writer};
 
 const FINALITY: u64 = 8;
 const BLOCKS: u64 = 96;
@@ -140,7 +140,7 @@ fn node_agrees_with_direct_ledger_oracle_and_fast_starts() {
     );
     let oracle_reader = oracle.reader();
     assert_eq!(
-        oracle_reader.tip().0,
+        oracle_reader.view().tip().0,
         genesis_hash.0,
         "node and oracle must share the deterministic genesis"
     );
@@ -153,24 +153,25 @@ fn node_agrees_with_direct_ledger_oracle_and_fast_starts() {
         assert_eq!(json_u64(&body, "committed"), Some(chunk.len() as u64));
         oracle.ingest_blocks(chunk.to_vec()).expect("oracle ingest");
     }
+    let oracle_view = oracle_reader.view();
 
     // Tip agreement.
     let (_, tip_body) = get(&addr, "/tip");
     assert_eq!(json_u64(&tip_body, "height"), Some(BLOCKS));
     assert_eq!(
         json_str(&tip_body, "hash"),
-        Some(oracle_reader.tip().0.to_hex())
+        Some(oracle_view.tip().0.to_hex())
     );
     assert_eq!(
         json_u64(&tip_body, "finalized_height"),
-        Some(oracle_reader.finalized_height())
+        Some(oracle_view.finalized_height())
     );
 
     // Block agreement at a finalized height, a suffix height and the tip.
     for h in [1, BLOCKS / 2, BLOCKS] {
         let (status, body) = get(&addr, &format!("/block/{h}"));
         assert_eq!(status, 200);
-        let oracle_hash = oracle_reader.hash_at(h).expect("oracle hash").0.to_hex();
+        let oracle_hash = oracle_view.hash_at(h).expect("oracle hash").0.to_hex();
         assert_eq!(json_str(&body, "hash"), Some(oracle_hash), "height {h}");
         assert_eq!(json_u64(&body, "tx_count"), Some(TXS_PER_BLOCK));
     }
@@ -185,7 +186,7 @@ fn node_agrees_with_direct_ledger_oracle_and_fast_starts() {
         assert_eq!(status, 200);
         assert_eq!(json_u64(&body, "block_height"), Some(block_idx as u64 + 1));
         assert_eq!(json_u64(&body, "kind"), Some(txkind::PROVENANCE as u64));
-        let (ob, opos) = oracle_reader.tx_by_id(&tx.id()).expect("oracle tx");
+        let (ob, opos) = oracle_view.tx_by_id(&tx.id()).expect("oracle tx");
         assert_eq!(json_str(&body, "block"), Some(ob.0.to_hex()));
         assert_eq!(json_u64(&body, "position"), Some(opos as u64));
         // The decoded record rides along for provenance txs.
@@ -214,7 +215,7 @@ fn node_agrees_with_direct_ledger_oracle_and_fast_starts() {
         body.contains("\"verified\":true"),
         "proof must verify: {body}"
     );
-    let oracle_proof = oracle_reader
+    let oracle_proof = oracle_view
         .prove_tx(&proved_tx.id())
         .expect("oracle proof");
     assert_eq!(
@@ -261,7 +262,7 @@ fn node_agrees_with_direct_ledger_oracle_and_fast_starts() {
     assert_eq!(json_u64(&tip_body, "height"), Some(BLOCKS));
     assert_eq!(
         json_str(&tip_body, "hash"),
-        Some(oracle_reader.tip().0.to_hex())
+        Some(oracle_view.tip().0.to_hex())
     );
     let (status, body) = get(
         &addr2,

@@ -1,4 +1,4 @@
-//! Data accountability and usage control — the Neisse et al. [58]
+//! Data accountability and usage control — the Neisse et al. \[58\]
 //! reproduction (GDPR-style provenance).
 //!
 //! The survey lists GDPR as a driving use case for collaborative provenance

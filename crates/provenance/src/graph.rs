@@ -2,7 +2,7 @@
 //!
 //! Records form a DAG by construction (a record's parents must already
 //! exist when it is inserted, so no cycle can be created). Invalidation
-//! follows SciBlock [28]: invalidating a record marks it and every
+//! follows SciBlock \[28\]: invalidating a record marks it and every
 //! *descendant whose timestamp is later than the invalidation point* —
 //! results computed before the flaw was introduced stay valid.
 

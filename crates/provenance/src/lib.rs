@@ -16,7 +16,7 @@
 //!   lineage, time windows, agents, batch queries, plus the repeated-query
 //!   cache the paper's future-work section calls for;
 //! * [`accountability`] — GDPR-style data accountability (Neisse et al.
-//!   [58]): usage policies, judged hash-chained usage events, consent
+//!   \[58\]): usage policies, judged hash-chained usage events, consent
 //!   withdrawal, and erasure obligations.
 
 pub mod accountability;

@@ -152,7 +152,7 @@ impl Domain {
     ///
     /// Exactly the rows of the paper's table for the three tabulated
     /// domains; the remaining domains list the fields their surveyed
-    /// systems record (§4.3–§4.4, [47]).
+    /// systems record (§4.3–§4.4, \[47\]).
     pub fn record_fields(&self) -> &'static [&'static str] {
         match self {
             Domain::SupplyChain => &[

@@ -1,4 +1,4 @@
-//! Bloxberg [80]: research-object provenance and reproducibility
+//! Bloxberg \[80\]: research-object provenance and reproducibility
 //! certification.
 //!
 //! The surveyed system "introduces a unique provenance model encompassing

@@ -1,8 +1,8 @@
-//! Scientific workflow provenance — the SciLedger [36] / SciBlock [28]
+//! Scientific workflow provenance — the SciLedger \[36\] / SciBlock \[28\]
 //! reproduction.
 //!
 //! SciLedger stores scientific workflow provenance on a blockchain and adds
-//! what earlier systems (BlockFlow [22], SmartProvenance [63]) lacked:
+//! what earlier systems (BlockFlow \[22\], SmartProvenance \[63\]) lacked:
 //! support for *multiple concurrent workflows*, *complex operations*
 //! (branching and merging task graphs) and an *invalidation mechanism* so a
 //! flawed task can be retracted together with every result derived from it
@@ -10,7 +10,7 @@
 //! the invalidated portion as new task versions.
 //!
 //! The workflow lifecycle (the paper's Figure 4, after Ludäscher et al.
-//! [50]) is modeled by [`Lifecycle`]: compose → publish → execute → analyze
+//! \[50\]) is modeled by [`Lifecycle`]: compose → publish → execute → analyze
 //! → (invalidate / re-execute) — experiment F4 walks it end to end.
 
 pub mod bloxberg;

@@ -7,7 +7,7 @@
 //! the node's canonical wire encoding under a domain-separation prefix, so
 //! two logically identical nodes always share storage and any byte flip
 //! changes the identifier (the availability + integrity argument of
-//! Hasan [33] and HealthBlock [1]).
+//! Hasan \[33\] and HealthBlock \[1\]).
 
 use blockprov_crypto::{sha256, Hash256};
 use blockprov_wire::{Reader, WireError, Writer};

@@ -1,4 +1,4 @@
-//! Food supply-chain tracking — the Kumar et al. [42] reproduction.
+//! Food supply-chain tracking — the Kumar et al. \[42\] reproduction.
 //!
 //! The surveyed methodology has three modules, reproduced one-to-one:
 //!

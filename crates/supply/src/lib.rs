@@ -1,5 +1,5 @@
-//! Supply-chain provenance — Cui et al. [23], Islam et al. [38] and
-//! PrivChain [52] reproduced on the blockprov substrate.
+//! Supply-chain provenance — Cui et al. \[23\], Islam et al. \[38\] and
+//! PrivChain \[52\] reproduced on the blockprov substrate.
 //!
 //! Mechanisms:
 //!

@@ -102,6 +102,11 @@ CRITERION_JSON_MERGE="$PWD/BENCH_ledger_scale.json" \
   cargo bench -p blockprov-bench --bench mixed_rw
 echo "perf artifact: BENCH_ledger_scale.json"
 
+echo "== node flood smoke: build the release node and txflood binaries =="
+# Built explicitly: the smoke below runs ./target/release binaries, and must
+# not depend on which packages the root release build happens to select.
+cargo build --release -p blockprov-node -p blockprov-bench --bins
+
 echo "== node flood smoke: release blockprov-node + txflood over HTTP =="
 # End-to-end service check: start the release node on an ephemeral port
 # with a throwaway durable tier, flood it over real sockets with the

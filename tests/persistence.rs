@@ -1,27 +1,40 @@
-//! Integration: durable block storage — a chain written through a
-//! `FileStore` survives process restart with proofs intact (the §6.1
-//! "storage performance overhead" axis needs a real persistent backend).
+//! Integration: durable block storage — a chain opened over the durable
+//! tiers survives process restart with proofs intact (the §6.1 "storage
+//! performance overhead" axis needs a real persistent backend).
 
+use blockprov::ledger::block::Block;
 use blockprov::ledger::chain::{Chain, ChainConfig};
-use blockprov::ledger::store::{BlockStore, FileStore};
+use blockprov::ledger::index::{TxIndex, TxIndexConfig};
+use blockprov::ledger::meta::{MetaConfig, MetaStore};
+use blockprov::ledger::segment::{TieredConfig, TieredStore};
 use blockprov::ledger::tx::{AccountId, Transaction};
+use std::path::{Path, PathBuf};
 
-fn temp_path(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("blockprov-it-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!("{tag}.log"))
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("blockprov-it-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Open (or resume) a durable chain with its three tiers under `dir`.
+fn open(dir: &Path) -> std::io::Result<Chain> {
+    let store = TieredStore::open(dir.join("blocks"), TieredConfig::default())?;
+    let index = TxIndex::open(dir.join("index"), TxIndexConfig::default())?;
+    let meta = MetaStore::open(dir.join("meta"), MetaConfig::default())?;
+    let config = ChainConfig {
+        finality_depth: Some(4),
+        ..ChainConfig::default()
+    };
+    Chain::replay_with_tiers(Box::new(store), Some(index), meta, config)
 }
 
 #[test]
-fn chain_over_file_store_persists_blocks_and_proofs() {
-    let path = temp_path("persist");
-    let _ = std::fs::remove_file(&path);
-
+fn durable_chain_persists_blocks_and_proofs() {
+    let dir = temp_dir("persist");
     let mut tx_ids = Vec::new();
     let tip;
     {
-        let store = FileStore::open(&path).unwrap();
-        let mut chain = Chain::with_store(Box::new(store), ChainConfig::default());
+        let mut chain = open(&dir).unwrap();
         for i in 0..20u64 {
             let tx = Transaction::new(AccountId::from_name("writer"), i, i, 1, vec![i as u8; 32]);
             tx_ids.push(tx.id());
@@ -33,64 +46,69 @@ fn chain_over_file_store_persists_blocks_and_proofs() {
         tip = chain.tip();
     }
 
-    // "Restart": reopen the file and check every block decodes and every
+    // "Restart": reopen the tiers and check every block decodes and every
     // transaction proof still verifies against its stored header.
-    let store = FileStore::open(&path).unwrap();
-    assert_eq!(store.len(), 21, "genesis + 20 blocks on disk");
-    let tip_block = store.get(&tip).expect("tip block persisted");
-    assert_eq!(tip_block.header.height, 20);
+    let chain = open(&dir).unwrap();
+    assert_eq!(chain.stored_blocks(), 21, "genesis + 20 blocks on disk");
+    assert_eq!(chain.tip(), tip);
+    assert_eq!(chain.height(), 20);
+    chain.verify_integrity().unwrap();
 
     // Rebuild proofs block by block from the durable store.
     let mut checked = 0;
-    for height_hash in [tip] {
-        let mut cursor = height_hash;
-        while let Some(block) = store.get(&cursor) {
-            for (i, tx) in block.txs.iter().enumerate() {
-                let (txid, proof) = block.prove_tx(i).unwrap();
-                assert!(blockprov::ledger::block::Block::verify_tx_proof(
-                    &block.header.tx_root,
-                    &txid,
-                    &proof
-                ));
-                assert!(tx_ids.contains(&txid) || tx.kind != 1);
-                checked += 1;
-            }
-            if block.header.height == 0 {
-                break;
-            }
-            cursor = block.header.prev;
+    let mut cursor = tip;
+    while let Some(block) = chain.block(&cursor) {
+        for i in 0..block.txs.len() {
+            let (txid, proof) = block.prove_tx(i).unwrap();
+            assert!(Block::verify_tx_proof(&block.header.tx_root, &txid, &proof));
+            assert!(tx_ids.contains(&txid));
+            checked += 1;
         }
+        if block.header.height == 0 {
+            break;
+        }
+        cursor = block.header.prev;
     }
     assert_eq!(checked, 20, "all transactions re-proven from disk");
+    // The canonical index serves the same proofs, finalized history included.
+    for id in &tx_ids {
+        assert!(chain.prove_tx(id).expect("indexed tx").verify());
+    }
 
-    std::fs::remove_file(&path).unwrap();
+    drop(chain);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn corrupt_trailing_write_is_rejected_on_reopen() {
-    let path = temp_path("corrupt");
-    let _ = std::fs::remove_file(&path);
+    let dir = temp_dir("corrupt");
     {
-        let store = FileStore::open(&path).unwrap();
-        let mut chain = Chain::with_store(Box::new(store), ChainConfig::default());
+        let mut chain = open(&dir).unwrap();
         let tx = Transaction::new(AccountId::from_name("w"), 0, 0, 1, vec![1, 2, 3]);
         let block = chain.assemble_next(1_000, AccountId::from_name("s"), 0, vec![tx]);
         chain.append(block).unwrap();
     }
-    // Append garbage that claims a huge length: reopen must fail loudly
-    // rather than silently truncate.
+    // Append garbage that claims a huge length to the active segment:
+    // reopen must fail loudly rather than silently truncate.
     {
         use std::io::Write;
+        let mut segments: Vec<PathBuf> = std::fs::read_dir(dir.join("blocks"))
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "blk"))
+            .collect();
+        segments.sort();
+        let active = segments.last().expect("a segment file");
         let mut f = std::fs::OpenOptions::new()
             .append(true)
-            .open(&path)
+            .open(active)
             .unwrap();
         f.write_all(&[0xFF, 0xFF, 0x00, 0x00]).unwrap();
         f.write_all(&[0xAB; 64]).unwrap();
     }
     assert!(
-        FileStore::open(&path).is_err(),
+        open(&dir).is_err(),
         "corruption must not be silently accepted"
     );
-    std::fs::remove_file(&path).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
